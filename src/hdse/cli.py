@@ -324,13 +324,14 @@ def cmd_verify_equivalence(args) -> int:
                 else:
                     res = report.target_residual_norm
                 passed = res <= report.tolerance
-                source_sol = SeSolution(source, report.source_solution, 0.0, 0,
-                                        tol=opts.tol)
+                source_sol = SeSolution(source, report.source_solution,
+                                        report.source_residual_norm,
+                                        report.source_iterations, tol=opts.tol)
                 target_sol = SeSolution(target, mapped, float(res), 0,
                                         tol=report.tolerance)
                 mse_source = mse_candidates(source_sol, spec)[1]
                 mse_target = mse_candidates(target_sol, spec)[1]
-                row.update(mapped, source_residual_norm=0.0,
+                row.update(mapped, source_residual_norm=report.source_residual_norm,
                            target_residual_norm=float(res),
                            tolerance=report.tolerance, passed=passed,
                            mse_source=mse_source, mse_target=mse_target)

@@ -8,6 +8,7 @@ makes replicates independent streams and results order-insensitive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,18 +94,23 @@ def gen_logistic_data(spec: ProblemSpec, n: int, seed: int, replicate: int = 0) 
 def fit_m_estimator(data: Dataset, tol: float = 1e-8, max_iter: int = 100) -> np.ndarray:
     """Minimize sum_i loss(y_i - x_i' beta) by damped Newton from the OLS point.
 
-    The Hessian uses the loss curvature with a 1e-6 identity floor so the
-    piecewise-quadratic huber stays well posed across its knee.  The absolute
-    loss has no curvature anywhere and its optimum does not satisfy a
-    gradient certificate, so it is not fittable here.
+    The OLS start is a Cholesky solve of the normal equations, which needs a
+    positive-definite X'X (kappa < 1); a singular one raises LinAlgError.
+    Every loss, the quadratic included, must pass the final gradient
+    certificate.  The Hessian uses the loss curvature with a 1e-6 identity
+    floor so the piecewise-quadratic huber stays well posed across its knee.
+    The absolute loss has no curvature anywhere and its optimum does not
+    satisfy a gradient certificate, so it is not fittable here.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     loss = data.spec.loss
     if loss.kind == "absolute":
         raise ConfigError("absolute-loss fitting is not supported (no gradient certificate)")
     X, y = data.design, data.response
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    if loss.kind == "quadratic":
-        return beta
+    # the d*d factor is a temporary here, freed before the Newton loop
+    beta = cho_solve(cho_factor(X.T @ X, overwrite_a=True, check_finite=False), X.T @ y,
+                     check_finite=False)
 
     def objective(b):
         return float(np.sum(losses.eval_loss(loss, y - X @ b)))
@@ -115,10 +121,9 @@ def fit_m_estimator(data: Dataset, tol: float = 1e-8, max_iter: int = 100) -> np
         grad = -X.T @ losses.loss_deriv(loss, r)
         if float(np.max(np.abs(grad))) < tol:
             return beta
-        curv = losses.loss_curvature(loss, r)
-        hess = X.T @ (curv[:, None] * X)
-        hess[np.diag_indices_from(hess)] += 1e-6
-        direction = np.linalg.solve(hess, -grad)
+        # a temporary Hessian is freed before the next iteration forms another
+        direction = np.linalg.solve(
+            _newton_hessian(X, losses.loss_curvature(loss, r), 1e-6), -grad)
         step = 1.0
         while step > 1e-8:
             cand = beta + step * direction
@@ -137,34 +142,58 @@ def fit_m_estimator(data: Dataset, tol: float = 1e-8, max_iter: int = 100) -> np
     return beta
 
 
+def _newton_hessian(X: np.ndarray, w: np.ndarray, floor: float) -> np.ndarray:
+    """X' diag(w) X + floor * I for w >= 0.
+
+    Formed as (sqrt(w) X)'(sqrt(w) X) so BLAS runs syrk; the X-sized
+    scratch dies with this frame.
+    """
+    xw = X * np.sqrt(w)[:, None]
+    hess = xw.T @ xw
+    hess[np.diag_indices_from(hess)] += floor
+    return hess
+
+
 def fit_lasso_cd(data: Dataset, lambda_star: float, tol: float = 1e-10,
                  max_sweeps: int = 20000) -> np.ndarray:
-    """Cyclic coordinate descent for 0.5||y - X beta||^2 + lambda*||beta||_1."""
+    """Cyclic coordinate descent for 0.5||y - X beta||^2 + lambda*||beta||_1.
+
+    Covariance-update form (Friedman, Hastie & Tibshirani 2010): the sweep
+    keeps corr = X'(y - X beta) and, when coordinate j moves by delta,
+    updates it with -delta times row j of the Gram matrix X'X, so a step
+    touches d numbers instead of n.  The iterates are those of the residual
+    form up to rounding.  The Gram matrix holds d*d floats: at most the size
+    of X when kappa <= 1 and kappa times it when kappa > 1.
+    """
+    from scipy.linalg.blas import daxpy
+
     if lambda_star < 0:
         raise ConfigError("lambda_star must be nonnegative")
     X, y = data.design, data.response
-    d = data.d
-    col_sq = np.einsum("ij,ij->j", X, X)
-    beta = np.zeros(d)
-    resid = y.copy()
+    gram = X.T @ X
+    corr = X.T @ y
+    col_sq = gram.diagonal().tolist()
+    beta = [0.0] * data.d
     for _ in range(max_sweeps):
         max_change = 0.0
-        for j in range(d):
-            if col_sq[j] == 0.0:
+        for j, cj in enumerate(col_sq):
+            if cj == 0.0:
                 continue
-            xj = X[:, j]
             old = beta[j]
-            rho = xj @ resid + col_sq[j] * old
-            new = np.sign(rho) * max(abs(rho) - lambda_star, 0.0) / col_sq[j]
+            rho = corr[j] + cj * old
+            new = math.copysign(max(abs(rho) - lambda_star, 0.0), rho) / cj
             if new != old:
-                resid -= (new - old) * xj
+                delta = new - old
+                # row j is column j of the symmetric gram, but contiguous
+                corr = daxpy(gram[j], corr, a=-delta)
                 beta[j] = new
-                max_change = max(max_change, abs(new - old))
+                max_change = max(max_change, abs(delta))
         if max_change < tol:
             break
     else:
-        raise NonConvergence("coordinate descent did not converge", best=beta,
+        raise NonConvergence("coordinate descent did not converge", best=np.array(beta),
                              residual_norm=max_change, iterations=max_sweeps)
+    beta = np.array(beta)
     kkt = kkt_residual_lasso(data, beta, lambda_star)
     if kkt >= 1e-8:
         raise NonConvergence(f"coordinate descent finished with KKT residual {kkt:.3e}",
@@ -263,10 +292,7 @@ def fit_logistic_mle(data: Dataset, tol: float = 1e-8, max_iter: int = 200) -> n
             raise MleNonExistence(
                 f"||beta|| = {np.linalg.norm(beta):.3e} with gradient {grad_norm:.3e}; "
                 "data are (close to) separable")
-        w = s * (1.0 - s)
-        hess = X.T @ (w[:, None] * X) / n
-        hess[np.diag_indices_from(hess)] += 1e-12
-        direction = np.linalg.solve(hess, -grad)
+        direction = np.linalg.solve(_newton_hessian(X, s * (1.0 - s) / n, 1e-12), -grad)
         step = 1.0
         while step > 1e-10:
             cand = beta + step * direction

@@ -40,6 +40,8 @@ class EquivalenceReport:
     source_system: str
     target_system: str
     source_solution: dict[str, float]
+    source_residual_norm: float
+    source_iterations: int
     mapped_params: dict[str, float]
     target_residual_norm: float
     tolerance: float
@@ -150,6 +152,8 @@ def verify_equivalence(source: str, target: str, spec: ProblemSpec,
         source_system=source,
         target_system=target,
         source_solution=dict(sol.params),
+        source_residual_norm=float(sol.residual_norm),
+        source_iterations=int(sol.iterations),
         mapped_params=mapped,
         target_residual_norm=float(np.max(np.abs(residual))),
         tolerance=opts.tol * 100.0,

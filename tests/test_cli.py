@@ -10,11 +10,13 @@ from hdse.cli import (
     SIMULATE_COLUMNS,
     SOLVE_COLUMNS,
     VERIFY_COLUMNS,
+    build_spec,
     config_hash,
     load_config,
     main,
 )
 from hdse.errors import ConfigError
+from hdse.solving import solve_system
 
 QUAD_CONFIG = {
     "model": "m_estimator",
@@ -109,6 +111,18 @@ def test_verify_equivalence_default_and_perturb(tmp_path):
                  "--kappa-grid", "0.25", "--perturb", "0.01"]) == 3
     rows = read_rows(out)
     assert rows[0]["passed"] == "false"
+
+
+def test_verify_source_residual_is_the_source_solve(tmp_path):
+    cfg = write_config(tmp_path, QUAD_CONFIG)
+    out = str(tmp_path / "v.csv")
+    assert main(["verify-equivalence", "--config", cfg, "--out", out,
+                 "--pair", "m-loo:m-cgmt", "--kappa-grid", "0.3,0.7"]) == 0
+    for row in read_rows(out):
+        sol = solve_system(row["source_system"],
+                           build_spec(QUAD_CONFIG, kappa=float(row["kappa"])))
+        assert float(row["source_residual_norm"]) == sol.residual_norm
+        assert sol.residual_norm <= 1e-9
 
 
 def test_verify_pair_flag(tmp_path):

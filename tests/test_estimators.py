@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hdse.errors import ConfigError, MleNonExistence
+from hdse.errors import ConfigError, MleNonExistence, NonConvergence
 from hdse.estimators import (
     Dataset,
     amp_lasso,
@@ -106,6 +106,30 @@ def test_huber_matches_ols_when_quadratic_branch_active():
     assert np.max(np.abs(beta_h - beta_ols)) < 1e-8
 
 
+def test_cholesky_start_matches_lstsq():
+    spec = linear_spec(kappa=0.9)
+    data = gen_linear_data(spec, 400, seed=17)
+    beta_ols, *_ = np.linalg.lstsq(data.design, data.response, rcond=None)
+    assert np.max(np.abs(fit_m_estimator(data) - beta_ols)) < 1e-10
+
+
+def test_quadratic_fit_certificate_rejects_unreachable_gradient():
+    # at this scale rounding alone leaves X'(y - X beta) far above the 1e-8 tolerance
+    data = gen_linear_data(linear_spec(), 200, seed=7)
+    scaled = Dataset(1e6 * data.design, 1e6 * data.response, data.truth, data.spec, 0)
+    with pytest.raises(NonConvergence):
+        fit_m_estimator(scaled)
+
+
+def test_huber_gradient_certificate():
+    spec = ProblemSpec("m_estimator", kappa=0.3, loss=HUBER, noise=gaussian(0.0, 1.0))
+    data = gen_linear_data(spec, 1000, seed=18)
+    beta = fit_m_estimator(data)
+    resid = data.response - data.design @ beta
+    grad = data.design.T @ np.clip(resid, -HUBER.delta, HUBER.delta)
+    assert np.max(np.abs(grad)) < 1e-8
+
+
 def test_absolute_loss_fit_rejected():
     spec = ProblemSpec("m_estimator", kappa=0.2, loss=LossSpec("absolute"),
                        prior=point_mass(0.0), noise=gaussian(0.0, 1.0))
@@ -123,6 +147,36 @@ def lasso_data(n=400, kappa=0.4, lam=0.1, seed=10):
     spec = ProblemSpec("lasso", kappa=kappa, prior=prior, noise=gaussian(0.0, 1.0),
                        lambda_star=lam)
     return gen_linear_data(spec, n, seed=seed)
+
+
+def column_cd(X, y, lam, tol=1e-10):
+    """Residual-form cyclic CD: the reference for the covariance-update fit."""
+    col_sq = np.einsum("ij,ij->j", X, X)
+    beta = np.zeros(X.shape[1])
+    resid = y.copy()
+    for _ in range(20000):
+        max_change = 0.0
+        for j in range(X.shape[1]):
+            rho = X[:, j] @ resid + col_sq[j] * beta[j]
+            new = np.sign(rho) * max(abs(rho) - lam, 0.0) / col_sq[j]
+            if new != beta[j]:
+                resid -= (new - beta[j]) * X[:, j]
+                max_change = max(max_change, abs(new - beta[j]))
+                beta[j] = new
+        if max_change < tol:
+            return beta
+    raise AssertionError("reference coordinate descent did not converge")
+
+
+@pytest.mark.parametrize("kappa", [0.4, 1.5])
+@pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+def test_gram_cd_matches_column_cd(kappa, lam):
+    data = lasso_data(n=200, kappa=kappa, lam=lam)
+    reference = column_cd(data.design, data.response, lam)
+    # 1e-12 on the coefficient scale: at kappa=1.5, lam=0 the interpolating
+    # coefficients reach ~6 and the two summation orders differ by ~2e-12
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    assert np.max(np.abs(fit_lasso_cd(data, lam) - reference)) < 1e-12 * scale
 
 
 def test_cd_zero_penalty_is_ols():
@@ -263,9 +317,10 @@ def test_monte_carlo_gap_shrinks_with_n():
     predicted = solve_system("m_loo", spec).params["tau1"] ** 2
     gaps, ses = [], []
     for n in (500, 1500, 3000):
-        mses = [empirical_mse(fit_m_estimator(gen_linear_data(spec, n, 20260809, rep)),
-                              gen_linear_data(spec, n, 20260809, rep))
-                for rep in range(20)]
+        mses = []
+        for rep in range(20):
+            data = gen_linear_data(spec, n, 20260809, rep)
+            mses.append(empirical_mse(fit_m_estimator(data), data))
         gaps.append(abs(np.mean(mses) - predicted))
         ses.append(np.std(mses, ddof=1) / np.sqrt(len(mses)))
     assert all(gap < 0.05 * predicted for gap in gaps)

@@ -93,6 +93,9 @@ def test_verify_equivalence_reports():
     report = verify_equivalence("m_loo", "m_cgmt", spec)
     assert report.passed
     assert report.target_residual_norm < 1e-6
+    direct = solve_system("m_loo", spec)
+    assert report.source_residual_norm == direct.residual_norm
+    assert report.source_iterations == direct.iterations
     assert report.tolerance == pytest.approx(1e-7)
     assert set(report.mapped_params) == {"tau3", "alpha", "mu"}
 
