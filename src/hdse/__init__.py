@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConfigError,
-    DivergenceError,
     HdseError,
     LikelyNonExistence,
     MleNonExistence,
@@ -41,7 +40,6 @@ from .transforms import EquivalenceReport, map_parameters, verify_equivalence
 __all__ = [
     "ConfigError",
     "DistributionSpec",
-    "DivergenceError",
     "EquivalenceReport",
     "HdseError",
     "LikelyNonExistence",

@@ -32,16 +32,13 @@ class NonConvergence(HdseError):
 
 
 class LikelyNonExistence(NonConvergence):
-    """A state-equation root appears to run away to infinity.
+    """The requested state-equation root does not exist.
 
-    For the logistic systems this is the signature of the maximum-likelihood
-    phase transition: above the critical aspect ratio no finite root exists.
+    Raised by the logistic solves before any iteration when kappa is at or
+    above the closed-form existence boundary ``solving.kappa_critical(r_star)``:
+    past this maximum-likelihood phase transition no finite root exists.
     """
 
 
 class MleNonExistence(HdseError):
     """Finite-sample logistic likelihood has no minimizer (separable data)."""
-
-
-class DivergenceError(HdseError):
-    """Iterates of a fixed-point recursion blew up."""

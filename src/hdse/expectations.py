@@ -77,10 +77,6 @@ class DistributionSpec:
         mu = self.mean()
         return self.second_moment() - mu * mu
 
-    @property
-    def is_discrete(self) -> bool:
-        return all(s == 0.0 for _, _, s in self.mixture())
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "point_mass":
             return np.full(size, self.params[0])

@@ -2,9 +2,11 @@
 
 The workhorse is a damped Newton iteration on a finite-difference Jacobian
 with positivity clamping; accepted steps never increase the residual
-max-norm.  The two-parameter systems additionally have a damped fixed-point
-fallback that mirrors the natural state-evolution iteration and is far more
-forgiving about initialization.
+max-norm.  Every system shares one fallback: when Newton from the automatic
+start fails, the solve walks kappa up from near zero in steps of
+``KAPPA_STEP`` and warm-starts Newton at each step from the previous root.
+The logistic systems first check the closed-form existence boundary
+``kappa_critical`` and raise ``LikelyNonExistence`` above it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from . import losses
 from .errors import (
@@ -22,13 +24,13 @@ from .errors import (
     NumericError,
     SingularJacobian,
 )
-from .expectations import expect_noise_sum
+from .expectations import QuadratureRule, expect_noise_sum, zv_nodes
 from .systems import ProblemSpec, SeSolution, SystemDef, system_for
 
 DAMPING_FLOOR = 1.0 / 64.0
-# A scale parameter this large on the way to max_iter is treated as a root
-# escaping to infinity (the logistic phase transition).
-BLOWUP_SCALE = 1e5
+# Continuation step in kappa; warm starts this close converge in a few
+# Newton iterations on every system.
+KAPPA_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -172,8 +174,19 @@ def auto_init(system: str, spec: ProblemSpec, opts: SolverOptions | None = None)
         mu0 = np.sqrt(max(-2.0 * e_dt, opts.positivity_floor))
         return np.array([tau0, lam0 * mu0, mu0])
     if system == "lasso_amp":
-        tau0 = spec.sigma_star / np.sqrt(max(1.0 - k, 0.1))
-        return np.array([max(tau0, opts.positivity_floor), spec.lambda_star])
+        tau0 = max(spec.sigma_star / np.sqrt(max(1.0 - k, 0.1)), opts.positivity_floor)
+
+        def row(g):
+            return sdef.residual([tau0, g], spec)[1]
+
+        # Past kappa = 1 the root keeps gamma1 away from 0, where the second
+        # row vanishes trivially at lambda_star = 0; start at its gamma-root.
+        lo, hi = opts.positivity_floor, tau0
+        if k < 1.0 or row(lo) <= 0.0:
+            return np.array([tau0, spec.lambda_star])
+        while row(hi) > 0.0:
+            hi *= 2.0
+        return np.array([tau0, brentq(row, lo, hi)])
     if system == "lasso_cgmt":
         # mapped from a solved lasso_amp point; the solve order is enforced here
         from .transforms import map_parameters
@@ -198,185 +211,78 @@ def _clamp_for(sdef: SystemDef, floor: float):
     return clamp
 
 
-def _fixed_point_2var(system: str, spec: ProblemSpec, x0, opts: SolverOptions):
-    """Damped natural iteration for the two-parameter systems.
+def kappa_critical(r_star: float, rule: QuadratureRule) -> float:
+    """Logistic existence boundary kappa_c(r) = min_t E[(Z - t V)_+^2].
 
-    The variance equation updates tau; the threshold equation is solved for
-    the second parameter by bracketed bisection at fixed tau.  Globally
-    stable for these maps, if slow.
+    The maximum-likelihood estimate exists asymptotically iff kappa is below
+    it (Candes & Sur, Ann. Statist. 2020); V is the label-tilted variable.
     """
-    sdef = system_for(system)
-    loss, rule = spec.loss, spec.rule()
-    k = spec.kappa
-    tau, second = float(x0[0]), float(x0[1])
-    damping = 0.5
-
-    def threshold_equation(tau_cur, lam):
-        if system == "m_loo":
-            kinks = losses.prox_kinks(loss, lam)
-            return expect_noise_sum(lambda s: losses.prox_deriv(loss, s, lam),
-                                    spec.noise, tau_cur, rule, kinks=kinks) - (1.0 - k)
-        if system == "m_amp":
-            kinks = losses.prox_kinks(loss, lam)
-            return lam * expect_noise_sum(
-                lambda s: losses.moreau_bundle(loss, s, lam).d2m_dx2,
-                spec.noise, tau_cur, rule, kinks=kinks) - k
-        # lasso_amp: solve for the threshold shift gamma
-        from .systems import lasso_signal_moments
-        mom = lasso_signal_moments(spec.prior, 1.0, tau_cur, spec.lambda_star + lam)
-        return k * (spec.lambda_star + lam) * mom.eta_deriv - lam
-
-    def solve_second(tau_cur, current):
-        lo = 0.0 if system == "lasso_amp" else opts.positivity_floor
-        hi = max(4.0 * max(current, 1e-3), 1.0)
-        flo = threshold_equation(tau_cur, lo if lo > 0 else 1e-300)
-        for _ in range(80):
-            if threshold_equation(tau_cur, hi) * flo < 0:
-                break
-            hi *= 2.0
-        else:
-            raise NumericError(f"no bracket for the threshold equation of {system}")
-        return brentq(lambda v: threshold_equation(tau_cur, v), lo if lo > 0 else 1e-300,
-                      hi, xtol=1e-14, rtol=1e-15)
-
-    def tau_update(lam):
-        if system == "m_loo":
-            kinks = losses.prox_kinks(loss, lam)
-            e_sq = expect_noise_sum(lambda s: (s - losses.prox(loss, s, lam)) ** 2,
-                                    spec.noise, tau, rule, kinks=kinks)
-            return np.sqrt(e_sq / k)
-        if system == "m_amp":
-            kinks = losses.prox_kinks(loss, lam)
-            e_dx2 = expect_noise_sum(lambda s: losses.moreau_bundle(loss, s, lam).dm_dx ** 2,
-                                     spec.noise, tau, rule, kinks=kinks)
-            return np.sqrt(lam * lam * e_dx2 / k)
-        from .systems import lasso_signal_moments
-        mom = lasso_signal_moments(spec.prior, 1.0, tau, spec.lambda_star + lam)
-        return np.sqrt(spec.sigma_star ** 2 + k * mom.shift_sq)
-
-    residual = sdef.residual
-    for it in range(1, opts.max_iter + 1):
-        second = solve_second(tau, second)
-        tau_new = tau_update(second)
-        tau = max((1.0 - damping) * tau + damping * tau_new, opts.positivity_floor)
-        r = residual(np.array([tau, second]), spec)
-        norm = float(np.max(np.abs(r)))
-        if norm <= opts.tol:
-            return np.array([tau, second]), {"iterations": it, "residual_norm": norm,
-                                             "jac_cond": None}
-    raise NonConvergence(f"fixed-point iteration stalled for {system}",
-                         best=np.array([tau, second]), residual_norm=norm, iterations=it)
+    Z, V, wgt = zv_nodes(r_star, rule)
+    return float(minimize_scalar(
+        lambda t: np.sum(wgt * np.maximum(Z - t * V, 0.0) ** 2)).fun)
 
 
-def _scaled_norm(sdef: SystemDef, r: np.ndarray, x: np.ndarray) -> float:
-    # Residual components of the logistic systems grow polynomially with the
-    # scale parameters, so comparisons across escalated starting points use a
-    # normalized norm that stays O(1) along the escape direction.
-    if sdef.name == "logistic_loo":
-        alpha, lam = x[0], x[2]
-        scale = np.array([1.0 + alpha ** 2 + lam ** 2, 1.0 + lam, 1.0])
-    elif sdef.name == "logistic_cgmt":
-        alpha, lam = x[0], x[2]
-        scale = np.array([1.0, 1.0 + alpha ** 2 + lam ** 2, 1.0])
-    else:
-        scale = np.ones_like(r)
-    return float(np.max(np.abs(r) / scale))
-
-
-def _logistic_escalation_probe(sdef: SystemDef, spec: ProblemSpec, start, first_exc,
-                               residual, clamp, opts: SolverOptions):
-    """Decide between NonConvergence and a root escaping to infinity.
-
-    Retries Newton with the scale parameters (alpha, lam) multiplied by
-    increasing factors.  If no retry converges, the stall residual stays far
-    from zero everywhere, and escalating the scales does not make the
-    normalized residual worse, the system behaves as if its root lies at
-    alpha = +infinity, which is the maximum-likelihood phase transition.
-    """
-    scale_idx = [i for i, n in enumerate(sdef.params)
-                 if n.startswith("alpha") or n.startswith("lam")]
-
-    def stall_norm(exc):
-        best = exc.best if getattr(exc, "best", None) is not None else start
-        best = clamp(np.asarray(best, dtype=float))
-        return _scaled_norm(sdef, np.asarray(residual(best)), best)
-
-    norms = [stall_norm(first_exc)]
-    for factor in (10.0, 100.0):
-        x0 = start.copy()
-        for i in scale_idx:
-            x0[i] *= factor
-        try:
-            return newton_solve(residual, x0, opts, clamp=clamp)
-        except (SingularJacobian, NonConvergence) as exc:
-            norms.append(stall_norm(exc))
-    if min(norms) > 1e-3 and norms[-1] <= 3.0 * norms[0]:
-        raise LikelyNonExistence(
-            f"{sdef.name} stalls at normalized residual {min(norms):.3g} at every "
-            "probed scale; the root appears to lie at infinity "
-            "(maximum-likelihood phase transition)",
-            best=first_exc.best, residual_norm=getattr(first_exc, "residual_norm", None),
-            iterations=getattr(first_exc, "iterations", None)) from first_exc
-    raise first_exc
+def _kappa_walk(system: str, spec: ProblemSpec, opts: SolverOptions, newton_from):
+    """Continuation: Newton at each kappa of a path from near 0 to spec.kappa,
+    warm-started from the root at the previous kappa."""
+    n = int(np.ceil(spec.kappa / KAPPA_STEP))
+    path = np.linspace(spec.kappa / n, spec.kappa, n)
+    x = auto_init(system, spec.with_kappa(float(path[0])), opts)
+    iterations = 0
+    for kappa in path:
+        x, info = newton_from(x, spec.with_kappa(float(kappa)))
+        iterations += info["iterations"]
+    return x, {**info, "iterations": iterations}
 
 
 def solve_system(system: str, spec: ProblemSpec, x0="auto",
                  opts: SolverOptions | None = None) -> SeSolution:
     """Solve one state-equation system to the requested residual max-norm.
 
-    Raises NonConvergence with the best iterate attached when the budget runs
-    out, SingularJacobian when even the fixed-point fallback cannot recover,
-    and LikelyNonExistence when a logistic root runs away (the maximum
-    likelihood phase transition).
+    With ``x0="auto"`` Newton starts from ``auto_init``; if that fails, the
+    solve falls back to a kappa walk (see the module docstring) and raises
+    what the walk raises.  An explicit ``x0`` gets Newton alone.  Raises
+    NonConvergence with the best iterate attached when Newton stalls or runs
+    out of iterations, SingularJacobian (a NumericError) when the Jacobian
+    degenerates, and LikelyNonExistence before any iteration when a logistic
+    kappa is at or above ``kappa_critical``, where no finite root exists.
     """
     opts = opts or SolverOptions()
     sdef = system_for(system)
     if sdef.model != spec.model:
         raise ConfigError(f"system {system} expects model {sdef.model}, spec has {spec.model}")
+    if sdef.model == "logistic":
+        kc = kappa_critical(spec.r_star, spec.rule())
+        if spec.kappa >= kc:
+            raise LikelyNonExistence(
+                f"kappa={spec.kappa:g} is at or above the existence boundary "
+                f"kappa_c={kc:.5f} for r_star={spec.r_star:g}; {system} has no finite root "
+                "(maximum-likelihood phase transition)")
+    clamp = _clamp_for(sdef, opts.positivity_floor)
+
+    def newton_from(start, at_spec):
+        def residual(x):
+            # evaluate on the clamped point so finite differencing at the
+            # positivity floor cannot step outside the domain
+            return sdef.residual(clamp(np.asarray(x, dtype=float)), at_spec)
+
+        return newton_solve(residual, start, opts, clamp=clamp)
+
     if isinstance(x0, str):
         if x0 != "auto":
             raise ConfigError(f"unknown initialization {x0!r}")
-        start = auto_init(system, spec, opts)
-    elif isinstance(x0, dict):
-        start = np.array([float(x0[n]) for n in sdef.params])
+        try:
+            x, info = newton_from(auto_init(system, spec, opts), spec)
+        except (NonConvergence, NumericError):
+            x, info = _kappa_walk(system, spec, opts, newton_from)
     else:
-        start = np.asarray(x0, dtype=float)
-        if start.size != len(sdef.params):
-            raise ConfigError(f"x0 must have {len(sdef.params)} entries {sdef.params}")
-
-    clamp = _clamp_for(sdef, opts.positivity_floor)
-    start = clamp(start)
-    scale_guard = None
-    if sdef.model == "logistic":
-        watched = [i for i, n in enumerate(sdef.params) if n.startswith("alpha")]
-
-        def scale_guard(x):
-            for i in watched:
-                if x[i] > BLOWUP_SCALE:
-                    raise LikelyNonExistence(
-                        f"{sdef.params[i]} grew past {BLOWUP_SCALE:g}; "
-                        "the system likely has no finite root",
-                        best=x, residual_norm=None, iterations=None)
-
-    def residual(x):
-        # evaluate on the clamped point so finite differencing at the
-        # positivity floor cannot step outside the domain
-        return sdef.residual(clamp(np.asarray(x, dtype=float)), spec)
-
-    try:
-        x, info = newton_solve(residual, start, opts, clamp=clamp, guard=scale_guard)
-    except (SingularJacobian, NonConvergence) as exc:
-        if isinstance(exc, LikelyNonExistence):
-            raise
-        if sdef.model == "logistic":
-            x, info = _logistic_escalation_probe(sdef, spec, start, exc, residual,
-                                                 clamp, opts)
-        elif len(sdef.params) == 2:
-            fp_start = exc.best if isinstance(exc, NonConvergence) and exc.best is not None \
-                else start
-            x, info = _fixed_point_2var(system, spec, fp_start, opts)
+        if isinstance(x0, dict):
+            start = np.array([float(x0[n]) for n in sdef.params])
         else:
-            raise
+            start = np.asarray(x0, dtype=float)
+            if start.size != len(sdef.params):
+                raise ConfigError(f"x0 must have {len(sdef.params)} entries {sdef.params}")
+        x, info = newton_from(start, spec)
 
     return SeSolution(system=system, params=dict(zip(sdef.params, map(float, x))),
                       residual_norm=info["residual_norm"], iterations=info["iterations"],

@@ -427,13 +427,6 @@ def system_for(name: str) -> SystemDef:
             f"unknown system {name!r}; valid systems: {', '.join(sorted(SYSTEMS))}") from None
 
 
-def evaluate_residual(system: str, p, spec: ProblemSpec, order: int | None = None) -> np.ndarray:
-    sdef = system_for(system)
-    if sdef.model != spec.model:
-        raise ConfigError(f"system {system} belongs to model {sdef.model}, spec has {spec.model}")
-    return sdef.residual(p, spec, order=order)
-
-
 def mse_candidates(sol: SeSolution, spec: ProblemSpec) -> tuple[float, float]:
     """(nominal extraction, extraction pinned by the closed-form reductions).
 

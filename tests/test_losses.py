@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import expit
@@ -169,12 +169,16 @@ def test_prox_deriv_matches_finite_difference():
     t=st.floats(0.0, 1e3, allow_nan=False),
     c=st.floats(1e-6, 1e6, allow_nan=False),
 )
+@example(x=5e-324, t=0.0, c=0.5)
 @settings(max_examples=300, deadline=None)
 def test_soft_threshold_scaling(x, t, c):
     v, d = soft_threshold(x, t)
     vc, dc = soft_threshold(c * x, c * t)
     assert vc == pytest.approx(c * v, rel=1e-12, abs=0.0)
-    assert dc == d
+    # The indicator |x| > t is scale-invariant only in exact arithmetic: c*x can
+    # underflow to 0 (the example above) or round across c*t.
+    if (abs(c * x) > c * t) == (abs(x) > t):
+        assert dc == d
 
 
 def test_logistic_reflection_identity():

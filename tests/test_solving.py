@@ -1,21 +1,28 @@
 """Newton solver, finite-difference Jacobian, fallback, and diagnostics."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
-from hdse.errors import ConfigError, LikelyNonExistence, NonConvergence
-from hdse.expectations import gaussian, point_mass
+from hdse.errors import ConfigError, LikelyNonExistence, NonConvergence, NumericError
+from hdse.expectations import bernoulli_gaussian, gaussian, point_mass
 from hdse.losses import LossSpec
 from hdse.solving import (
     SolverOptions,
-    _fixed_point_2var,
     auto_init,
     evaluate_jacobian_fd,
+    kappa_critical,
     newton_solve,
     probe_uniqueness,
     solve_system,
 )
-from hdse.systems import ProblemSpec
+from hdse.systems import SYSTEMS, ProblemSpec
+
+# kappa_c(r*) of the logistic model to 1e-5 (121-point rule).
+KAPPA_CRITICAL = {0.5: 0.48161, 1.0: 0.43894, 2.0: 0.34493}
+LOGISTIC_SYSTEMS = ("logistic_loo", "logistic_cgmt")
 
 
 def test_options_validation():
@@ -90,13 +97,85 @@ def test_auto_init_unknown_system():
         solve_system("lasso_amp", spec)  # model mismatch
 
 
-def test_fixed_point_fallback_reaches_root():
-    spec = ProblemSpec("m_estimator", kappa=0.3, loss=LossSpec("huber", delta=1.345),
+def test_kappa_walk_solves_absolute_loss_near_one():
+    # Newton from auto_init stalls here; the solve must go through the kappa walk.
+    spec = ProblemSpec("m_estimator", kappa=0.95, loss=LossSpec("absolute"),
                        noise=gaussian(0.0, 1.0))
-    opts = SolverOptions(max_iter=400)
-    x, info = _fixed_point_2var("m_loo", spec, auto_init("m_loo", spec, opts) * 3.0, opts)
-    newton = solve_system("m_loo", spec)
-    assert np.allclose(x, newton.vector(), atol=1e-6)
+    opts = SolverOptions()
+    for system in ("m_loo", "m_amp", "m_cgmt"):
+        sdef = SYSTEMS[system]
+
+        def residual(x):
+            return sdef.residual(np.maximum(x, opts.positivity_floor), spec)
+
+        with pytest.raises((NonConvergence, NumericError)):
+            newton_solve(residual, auto_init(system, spec, opts), opts,
+                         clamp=lambda v: np.maximum(v, opts.positivity_floor))
+        sol = solve_system(system, spec, opts=opts)
+        assert sol.converged
+        assert np.max(np.abs(sdef.residual(sol.vector(), spec))) <= opts.tol
+        assert sol.vector()[0] == pytest.approx(4.96554, abs=1e-5)
+
+
+@pytest.mark.parametrize("lambda_star", [0.0, 0.01])
+@pytest.mark.parametrize("kappa", [1.1, 1.35, 2.5])
+def test_lasso_amp_beyond_kappa_one(lambda_star, kappa):
+    spec = ProblemSpec("lasso", kappa=kappa, lambda_star=lambda_star,
+                       prior=bernoulli_gaussian(0.1, math.sqrt(10.0)),
+                       noise=gaussian(0.0, 1.0))
+    sol = solve_system("lasso_amp", spec)
+    assert sol.converged
+    # gamma1 = 0 solves the second row trivially at lambda_star = 0; the root must not
+    assert sol.params["gamma1"] > 0.1
+
+
+def test_lasso_amp_basis_pursuit_root():
+    spec = ProblemSpec("lasso", kappa=1.6, lambda_star=0.0,
+                       prior=bernoulli_gaussian(0.1, math.sqrt(10.0)),
+                       noise=gaussian(0.0, 1.0))
+    sol = solve_system("lasso_amp", spec)
+    assert sol.params["tau1"] == pytest.approx(1.8790, abs=1e-4)
+    assert sol.params["gamma1"] == pytest.approx(0.9681, abs=1e-4)
+
+
+def test_explicit_start_failure_raises_without_walk():
+    spec = ProblemSpec("m_estimator", kappa=0.95, loss=LossSpec("absolute"),
+                       noise=gaussian(0.0, 1.0))
+    start = auto_init("m_loo", spec)
+    with pytest.raises((NonConvergence, NumericError)):
+        solve_system("m_loo", spec, x0=start)
+    assert solve_system("m_loo", spec, x0="auto").converged
+
+
+@pytest.mark.parametrize("r_star", sorted(KAPPA_CRITICAL))
+def test_kappa_critical_values(r_star):
+    rule = ProblemSpec("logistic", kappa=0.1, r_star=r_star).rule()
+    assert kappa_critical(r_star, rule) == pytest.approx(KAPPA_CRITICAL[r_star], abs=1e-4)
+
+
+def test_kappa_critical_tends_to_cover_bound():
+    rule = ProblemSpec("logistic", kappa=0.1, r_star=1.0).rule()
+    gaps = [0.5 - kappa_critical(r, rule) for r in (0.1, 0.01, 1e-3)]
+    assert all(g > 0 for g in gaps[:-1])
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert abs(gaps[-1]) < 1e-6
+
+
+@pytest.mark.parametrize("system", LOGISTIC_SYSTEMS)
+@pytest.mark.parametrize("r_star", sorted(KAPPA_CRITICAL))
+def test_logistic_solves_below_boundary(system, r_star):
+    spec = ProblemSpec("logistic", kappa=0.97 * KAPPA_CRITICAL[r_star], r_star=r_star)
+    assert solve_system(system, spec).converged
+
+
+@pytest.mark.parametrize("system", LOGISTIC_SYSTEMS)
+@pytest.mark.parametrize("r_star", sorted(KAPPA_CRITICAL))
+def test_logistic_nonexistence_above_boundary(system, r_star):
+    spec = ProblemSpec("logistic", kappa=1.03 * KAPPA_CRITICAL[r_star], r_star=r_star)
+    t0 = time.perf_counter()
+    with pytest.raises(LikelyNonExistence, match="kappa_c="):
+        solve_system(system, spec)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_probe_uniqueness_agreement():
