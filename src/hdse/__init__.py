@@ -23,10 +23,6 @@ from .expectations import (
     DistributionSpec,
     QuadratureRule,
     bernoulli_gaussian,
-    expect_bivariate_gaussian,
-    expect_noise_gaussian,
-    expect_signal_gaussian,
-    expect_zv,
     gauss_hermite,
     gaussian,
     point_mass,
@@ -57,10 +53,6 @@ __all__ = [
     "StateError",
     "bernoulli_gaussian",
     "eval_loss",
-    "expect_bivariate_gaussian",
-    "expect_noise_gaussian",
-    "expect_signal_gaussian",
-    "expect_zv",
     "gauss_hermite",
     "gaussian",
     "map_parameters",

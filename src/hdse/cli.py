@@ -30,14 +30,13 @@ from .errors import (
     ConfigError,
     HdseError,
     LikelyNonExistence,
-    MleNonExistence,
     NonConvergence,
     NumericError,
 )
-from .expectations import DISTRIBUTION_KINDS, DistributionSpec
+from .expectations import DistributionSpec, bernoulli_gaussian, gaussian, point_mass, two_point
 from .solving import SolverOptions, solve_system
 from .systems import ProblemSpec, SeSolution, SYSTEMS, mse_candidates, system_for
-from .transforms import verify_equivalence
+from .transforms import CANONICAL, verify_equivalence
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -117,18 +116,14 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
+_DISTRIBUTIONS = {"point_mass": point_mass, "gaussian": gaussian,
+                  "two_point": two_point, "bernoulli_gaussian": bernoulli_gaussian}
+
+
 def _parse_distribution(obj: dict) -> DistributionSpec:
-    kind = obj["kind"]
-    if kind not in DISTRIBUTION_KINDS:
-        raise ConfigError(f"unknown distribution kind {kind!r}")
+    # the schema keys are the constructor argument names
     params = {k: v for k, v in obj.items() if k != "kind"}
-    if kind == "point_mass":
-        return DistributionSpec(kind, (float(params["c"]),))
-    if kind == "gaussian":
-        return DistributionSpec(kind, (float(params["mean"]), float(params["sd"])))
-    if kind == "two_point":
-        return DistributionSpec(kind, (float(params["a"]), float(params["p"])))
-    return DistributionSpec(kind, (float(params["eps"]), float(params["sd"])))
+    return _DISTRIBUTIONS[obj["kind"]](**params)
 
 
 def build_spec(cfg: dict, quad_order: int | None = None,
@@ -369,25 +364,19 @@ def _simulate_one(spec: ProblemSpec, n: int, seed: int, replicate: int):
     return estimators.empirical_mse(beta, data), inflation, noise_scale
 
 
-def _se_prediction(spec: ProblemSpec, opts: SolverOptions):
-    """Solve the SE system matching the simulated estimator.
+def _se_prediction(spec: ProblemSpec, opts: SolverOptions) -> tuple[SeSolution, float]:
+    """Solve the family's canonical SE system for the simulated estimator.
 
     For the logistic model the data are generated with variance-1/n designs,
     so the signal strength entering the system is sqrt(kappa) * r_star (the
     limit of ||X beta*|| scatter), and the solved sigma / alpha1 predict the
     empirical inflation and orthogonal noise scale.
     """
-    if spec.model == "m_estimator":
-        sol = solve_system("m_loo", spec, opts=opts)
-        return "m_loo", sol, spec.r_star, None, None
-    if spec.model == "lasso":
-        sol = solve_system("lasso_amp", spec, opts=opts)
-        return "lasso_amp", sol, spec.r_star, None, None
-    r_eff = float(np.sqrt(spec.kappa) * spec.r_star)
-    se_spec = ProblemSpec("logistic", kappa=spec.kappa, r_star=r_eff,
-                          quad_order=spec.quad_order)
-    sol = solve_system("logistic_loo", se_spec, opts=opts)
-    return "logistic_loo", sol, r_eff, sol.params["sigma"], sol.params["alpha1"]
+    if spec.model == "logistic":
+        spec = ProblemSpec("logistic", kappa=spec.kappa,
+                           r_star=float(np.sqrt(spec.kappa) * spec.r_star),
+                           quad_order=spec.quad_order)
+    return solve_system(CANONICAL[spec.model], spec, opts=opts), spec.r_star
 
 
 def cmd_simulate(args) -> int:
@@ -400,7 +389,10 @@ def cmd_simulate(args) -> int:
     out = args.out or cfg.get("output_path") or "simulate.csv"
     writer = ReportWriter(out, SIMULATE_COLUMNS)
 
-    system, sol, se_signal, pred_inflation, pred_noise = _se_prediction(spec, opts)
+    sol, se_signal = _se_prediction(spec, opts)
+    system = sol.system
+    # only the logistic_loo root has the (sigma, alpha1) pair
+    pred_inflation, pred_noise = sol.params.get("sigma"), sol.params.get("alpha1")
     # candidates use the actual prior moments; for the logistic model the
     # solved (sigma, alpha1) keep their inflation/noise roles either way
     pred_nominal, pred_reduction = mse_candidates(sol, spec)
@@ -552,9 +544,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"hdse: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MleNonExistence as exc:
-        print(f"hdse: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
     except HdseError as exc:
         print(f"hdse: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -34,9 +34,11 @@ class NonConvergence(HdseError):
 class LikelyNonExistence(NonConvergence):
     """The requested state-equation root does not exist.
 
-    Raised by the logistic solves before any iteration when kappa is at or
-    above the closed-form existence boundary ``solving.kappa_critical(r_star)``:
-    past this maximum-likelihood phase transition no finite root exists.
+    Raised before any iteration: by the logistic solves when kappa is at or
+    above the closed-form existence boundary ``solving.kappa_critical(r_star)``,
+    past this maximum-likelihood phase transition, and by the lasso solves at
+    lambda_star = 0 where kappa = 1 (tau diverges) or, for ``lasso_cgmt``,
+    kappa > 1 (theta -> 0).
     """
 
 

@@ -2,10 +2,14 @@
 
 All state-equation integrals reduce to one of four shapes:
 
-  * E[f(W, Z)] over an independent noise/Gaussian pair,
-  * E[f(theta*B + gamma*Z)] over an independent prior/Gaussian pair,
-  * E[f(Q1, Q2)] over a correlated Gaussian pair,
-  * E[f(Z, V)] where V carries the label-tilted density 2*phi(v)*sigmoid(r*v).
+  * E[g(W + tau*Z)] and E[Z g(W + tau*Z)] over an independent noise/Gaussian
+    pair (``expect_noise_sum``, ``expect_noise_zweighted``),
+  * E[f(theta*B + gamma*Z)] over an independent prior/Gaussian pair, in
+    closed form for the soft threshold (``soft_threshold_moments``, summed
+    over the prior in ``systems.lasso_signal_moments``),
+  * E[f(Q1, Q2)] over a correlated Gaussian pair (``bivariate_nodes``),
+  * E[f(Z, V)] where V carries the label-tilted density 2*phi(v)*sigmoid(r*v)
+    (``zv_nodes``).
 
 Gaussian directions use Gauss-Hermite quadrature in the probabilists'
 normalization (weights sum to 1).  Discrete laws are enumerated exactly.
@@ -181,33 +185,6 @@ def _noise_components(noise: DistributionSpec):
     return noise.mixture()
 
 
-def expect_noise_gaussian(f, noise: DistributionSpec, tau: float, rule: QuadratureRule,
-                          sum_only: bool = False, kinks=()) -> float:
-    """E[f(W, Z)] with W ~ noise independent of Z ~ N(0, 1).
-
-    ``sum_only=True`` asserts that f depends on its arguments only through
-    W + tau*Z; Gaussian noise then folds into a single 1-d quadrature over the
-    sum (f is evaluated as f(s, 0)).  Discrete noise is enumerated exactly.
-    """
-    if tau < 0:
-        raise ConfigError("tau must be nonnegative")
-    total = 0.0
-    for wt, m, s in _noise_components(noise):
-        if wt == 0.0:
-            continue
-        if s == 0.0:
-            total += wt * expect_gauss_1d(lambda z: f(m, z), 0.0, 1.0, rule)
-        elif sum_only:
-            scale = np.hypot(s, tau)
-            total += wt * expect_gauss_1d(lambda x: f(x, 0.0), m, scale, rule, kinks=kinks)
-        else:
-            wnod = m + s * rule.nodes
-            W, Z = np.meshgrid(wnod, rule.nodes, indexing="ij")
-            wgt = np.outer(rule.weights, rule.weights)
-            total += wt * float(np.sum(wgt * f(W, Z)))
-    return total
-
-
 def expect_noise_sum(g, noise: DistributionSpec, tau: float, rule: QuadratureRule,
                      kinks=()) -> float:
     """E[g(W + tau*Z)], W ~ noise independent of Z ~ N(0, 1), kink aware."""
@@ -244,55 +221,6 @@ def expect_noise_zweighted(g, noise: DistributionSpec, tau: float, rule: Quadrat
     return total
 
 
-def expect_signal_gaussian(f, prior: DistributionSpec, theta: float, gamma: float,
-                           rule: QuadratureRule, kinks=()) -> float:
-    """E[f(theta*B + gamma*Z)], B ~ prior independent of Z ~ N(0, 1).
-
-    Every supported prior is a finite mixture of atoms and Gaussians, so the
-    combination theta*B + gamma*Z folds into one Gaussian per component.
-    """
-    if gamma < 0:
-        raise ConfigError("gamma must be nonnegative")
-    total = 0.0
-    for wt, m, s in prior.mixture():
-        if wt == 0.0:
-            continue
-        scale = np.hypot(theta * s, gamma)
-        total += wt * expect_gauss_1d(f, theta * m, scale, rule, kinks=kinks)
-    return total
-
-
-def expect_signal_weighted(h, prior: DistributionSpec, theta: float, gamma: float,
-                           rule: QuadratureRule, kinks=()) -> float:
-    """E[B * h(S)] with S = theta*B + gamma*Z.
-
-    Uses E[B | S] per mixture component (B and S are jointly Gaussian within
-    a component), reducing to the same 1-d kink-aware quadrature as the plain
-    signal expectation.
-    """
-    if gamma < 0:
-        raise ConfigError("gamma must be nonnegative")
-    total = 0.0
-    for wt, m, s in prior.mixture():
-        if wt == 0.0:
-            continue
-        mean_s = theta * m
-        var = (theta * s) ** 2 + gamma * gamma
-        if var == 0.0:
-            total += wt * m * float(np.asarray(h(np.asarray([mean_s])))[0])
-            continue
-        scale = np.sqrt(var)
-        e_h = expect_gauss_1d(h, mean_s, scale, rule, kinks=kinks)
-        cov = theta * s * s
-        if cov != 0.0:
-            centered = expect_gauss_1d(lambda x: (x - mean_s) * np.asarray(h(x)),
-                                       mean_s, scale, rule, kinks=kinks)
-            total += wt * (m * e_h + (cov / var) * centered)
-        else:
-            total += wt * m * e_h
-    return total
-
-
 def _cholesky_psd(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (2, 2):
@@ -316,12 +244,6 @@ def bivariate_nodes(cov, rule: QuadratureRule):
     return q1, q2, wgt
 
 
-def expect_bivariate_gaussian(f, cov, rule: QuadratureRule) -> float:
-    """E[f(Q1, Q2)] for (Q1, Q2) centered Gaussian with the given covariance."""
-    q1, q2, wgt = bivariate_nodes(cov, rule)
-    return float(np.sum(wgt * f(q1, q2)))
-
-
 def zv_nodes(r_star: float, rule: QuadratureRule):
     """Tensor nodes (Z, V) and weights, V tilted by 2*sigmoid(r_star * v).
 
@@ -334,12 +256,6 @@ def zv_nodes(r_star: float, rule: QuadratureRule):
     Z, V = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
     wgt = np.outer(rule.weights, rule.weights * tilt)
     return Z, V, wgt
-
-
-def expect_zv(f, r_star: float, rule: QuadratureRule) -> float:
-    """E[f(Z, V)] with Z ~ N(0,1) independent of the tilted label variable V."""
-    Z, V, wgt = zv_nodes(r_star, rule)
-    return float(np.sum(wgt * f(Z, V)))
 
 
 def soft_threshold_moments(mean: float, sd: float, thresh: float):

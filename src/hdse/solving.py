@@ -5,8 +5,10 @@ with positivity clamping; accepted steps never increase the residual
 max-norm.  Every system shares one fallback: when Newton from the automatic
 start fails, the solve walks kappa up from near zero in steps of
 ``KAPPA_STEP`` and warm-starts Newton at each step from the previous root.
-The logistic systems first check the closed-form existence boundary
-``kappa_critical`` and raise ``LikelyNonExistence`` above it.
+Where no finite root exists the solve raises ``LikelyNonExistence`` up
+front: for the logistic systems at or above the closed-form boundary
+``kappa_critical``, and for the lasso at lambda_star = 0 with kappa = 1
+(with kappa >= 1 for ``lasso_cgmt``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from . import losses
 from .errors import (
     ConfigError,
     LikelyNonExistence,
@@ -24,8 +25,11 @@ from .errors import (
     NumericError,
     SingularJacobian,
 )
-from .expectations import QuadratureRule, expect_noise_sum, zv_nodes
+# expect_noise_sum is not called here; the benchmark tracer wraps it under
+# this module's name, so the import stays.
+from .expectations import QuadratureRule, expect_noise_sum, zv_nodes  # noqa: F401
 from .systems import ProblemSpec, SeSolution, SystemDef, system_for
+from .transforms import CANONICAL, map_params
 
 DAMPING_FLOOR = 1.0 / 64.0
 # Continuation step in kappa; warm starts this close converge in a few
@@ -135,16 +139,15 @@ def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None, gu
 
 
 def _grid_search_logistic(sdef: SystemDef, spec: ProblemSpec, opts: SolverOptions):
-    # alpha starts at 1 + kappa; the remaining scale is scanned coarsely.
+    # alpha1 starts at 1 + kappa; sigma is scanned coarsely on logistic_loo
+    # coordinates, each candidate mapped to the system being solved.
     lam0 = spec.kappa / (1.0 - spec.kappa)
     grid = np.arange(1, 9) * 0.25
     best, best_norm = None, np.inf
     for g in grid:
-        if sdef.name == "logistic_loo":
-            cand = {"alpha1": 1.0 + spec.kappa, "sigma": g, "lam1": lam0}
-        else:
-            cand = {"alpha2": (1.0 + spec.kappa) * np.sqrt(spec.kappa),
-                    "mu": spec.r_star * g, "lam2": lam0}
+        cand = {"alpha1": 1.0 + spec.kappa, "sigma": g, "lam1": lam0}
+        if sdef.name != "logistic_loo":
+            cand = map_params(cand, "logistic_loo", sdef.name, spec)
         vec = np.array([cand[n] for n in sdef.params])
         try:
             norm = float(np.max(np.abs(sdef.residual(vec, spec))))
@@ -158,22 +161,22 @@ def _grid_search_logistic(sdef: SystemDef, spec: ProblemSpec, opts: SolverOption
 
 
 def auto_init(system: str, spec: ProblemSpec, opts: SolverOptions | None = None) -> np.ndarray:
-    """Initialization rules; the quadratic closed form anchors the m systems."""
+    """Start for the family's canonical system, mapped to ``system``.
+
+    The quadratic closed form anchors the m systems; ``lasso_cgmt`` starts
+    from a solved ``lasso_amp`` root.
+    """
     opts = opts or SolverOptions()
     sdef = system_for(system)
     k = spec.kappa
+    if sdef.model == "logistic":
+        return _grid_search_logistic(sdef, spec, opts)
     if sdef.model == "m_estimator":
         tau0 = spec.sigma_star * np.sqrt(max(k, 0.1) / (1.0 - k))
-        tau0 = max(tau0, opts.positivity_floor)
-        lam0 = k / (1.0 - k)
-        if system in ("m_loo", "m_amp"):
-            return np.array([tau0, lam0])
-        e_dt = expect_noise_sum(
-            lambda s: losses.moreau_bundle(spec.loss, s, lam0).dm_dt,
-            spec.noise, tau0, spec.rule(), kinks=losses.prox_kinks(spec.loss, lam0))
-        mu0 = np.sqrt(max(-2.0 * e_dt, opts.positivity_floor))
-        return np.array([tau0, lam0 * mu0, mu0])
-    if system == "lasso_amp":
+        start = {"tau1": max(tau0, opts.positivity_floor), "lam1": k / (1.0 - k)}
+    elif system == "lasso_cgmt":
+        start = solve_system("lasso_amp", spec, opts=opts).params
+    else:
         tau0 = max(spec.sigma_star / np.sqrt(max(1.0 - k, 0.1)), opts.positivity_floor)
 
         def row(g):
@@ -182,18 +185,15 @@ def auto_init(system: str, spec: ProblemSpec, opts: SolverOptions | None = None)
         # Past kappa = 1 the root keeps gamma1 away from 0, where the second
         # row vanishes trivially at lambda_star = 0; start at its gamma-root.
         lo, hi = opts.positivity_floor, tau0
-        if k < 1.0 or row(lo) <= 0.0:
-            return np.array([tau0, spec.lambda_star])
-        while row(hi) > 0.0:
-            hi *= 2.0
-        return np.array([tau0, brentq(row, lo, hi)])
-    if system == "lasso_cgmt":
-        # mapped from a solved lasso_amp point; the solve order is enforced here
-        from .transforms import map_parameters
-        amp = solve_system("lasso_amp", spec, opts=opts)
-        mapped = map_parameters(amp, "lasso_cgmt", spec)
-        return np.array([mapped[n] for n in sdef.params])
-    return _grid_search_logistic(sdef, spec, opts)
+        gamma0 = spec.lambda_star
+        if k >= 1.0 and row(lo) > 0.0:
+            while row(hi) > 0.0:
+                hi *= 2.0
+            gamma0 = brentq(row, lo, hi)
+        start = {"tau1": tau0, "gamma1": gamma0}
+    if system != CANONICAL[sdef.model]:
+        start = map_params(start, CANONICAL[sdef.model], system, spec)
+    return np.array([start[n] for n in sdef.params])
 
 
 def _clamp_for(sdef: SystemDef, floor: float):
@@ -244,8 +244,9 @@ def solve_system(system: str, spec: ProblemSpec, x0="auto",
     what the walk raises.  An explicit ``x0`` gets Newton alone.  Raises
     NonConvergence with the best iterate attached when Newton stalls or runs
     out of iterations, SingularJacobian (a NumericError) when the Jacobian
-    degenerates, and LikelyNonExistence before any iteration when a logistic
-    kappa is at or above ``kappa_critical``, where no finite root exists.
+    degenerates, and LikelyNonExistence before any iteration where no finite
+    root exists: a logistic kappa at or above ``kappa_critical``, and the
+    lasso at lambda_star = 0 with kappa = 1 (or kappa >= 1 for lasso_cgmt).
     """
     opts = opts or SolverOptions()
     sdef = system_for(system)
@@ -258,6 +259,11 @@ def solve_system(system: str, spec: ProblemSpec, x0="auto",
                 f"kappa={spec.kappa:g} is at or above the existence boundary "
                 f"kappa_c={kc:.5f} for r_star={spec.r_star:g}; {system} has no finite root "
                 "(maximum-likelihood phase transition)")
+    elif spec.lambda_star == 0 and (spec.kappa == 1 or system == "lasso_cgmt" and spec.kappa > 1):
+        # only the lasso reaches kappa >= 1.  tau1 -> infinity at kappa = 1 (the
+        # least-squares risk); past it the basis-pursuit root maps to theta -> 0
+        raise LikelyNonExistence(
+            f"{system} has no finite root at lambda_star=0, kappa={spec.kappa:g}")
     clamp = _clamp_for(sdef, opts.positivity_floor)
 
     def newton_from(start, at_spec):

@@ -433,34 +433,26 @@ def mse_candidates(sol: SeSolution, spec: ProblemSpec) -> tuple[float, float]:
     The two coincide for the M-estimation systems.  For the lasso the nominal
     reading of the solved parameters disagrees with the ordinary-least-squares
     limit, so both are surfaced; the second entry is the value every oracle in
-    the test suite checks against.
+    the test suite checks against.  Other systems are read at their root
+    mapped to the family's canonical system; ``lasso_cgmt`` has its own pair.
     """
+    from .transforms import CANONICAL, map_params
+
     p = sol.params
-    if sol.system == "m_loo":
-        v = p["tau1"] ** 2
-        return v, v
-    if sol.system == "m_amp":
-        v = p["tau2"] ** 2
-        return v, v
-    if sol.system == "m_cgmt":
-        v = p["tau3"] ** 2
-        return v, v
-    if sol.system == "lasso_amp":
-        return p["tau1"] ** 2, p["tau1"] ** 2 - spec.sigma_star ** 2
     if sol.system == "lasso_cgmt":
         reduction = p["sigma"] ** 2 + spec.kappa * (p["alpha"] - 1.0) ** 2 * spec.r_star ** 2
         return p["lam"] / p["theta"], reduction
+    canonical = CANONICAL[system_for(sol.system).model]
+    if sol.system != canonical:
+        p = map_params(p, sol.system, canonical, spec)
+    if canonical == "m_loo":
+        v = p["tau1"] ** 2
+        return v, v
+    if canonical == "lasso_amp":
+        return p["tau1"] ** 2, p["tau1"] ** 2 - spec.sigma_star ** 2
+    inflation, noise_scale = p["sigma"], p["alpha1"]
     prior_mean = spec.prior.mean()
     m2 = spec.prior.second_moment()
-    if sol.system == "logistic_loo":
-        inflation, noise_scale = p["sigma"], p["alpha1"]
-    elif sol.system == "logistic_cgmt":
-        if spec.r_star <= 0:
-            raise ConfigError("logistic MSE extraction requires r_star > 0")
-        inflation = p["mu"] / spec.r_star
-        noise_scale = p["alpha2"] / np.sqrt(spec.kappa)
-    else:
-        raise ConfigError(f"unknown system {sol.system!r}")
     nominal = ((inflation - 1.0) * prior_mean) ** 2 + noise_scale ** 2
     reduction = spec.kappa * ((inflation - 1.0) ** 2 * m2 + noise_scale ** 2)
     return nominal, reduction

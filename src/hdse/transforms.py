@@ -1,17 +1,20 @@
 """Parameter maps between equivalent state-equation systems.
 
-The three estimator families each admit several SE systems whose roots are
-related by explicit transformations:
+Each estimator family has one canonical system (``CANONICAL``): ``m_loo``,
+``lasso_amp`` and ``logistic_loo``.  Every other system carries one map to
+its canonical system and one back:
 
-    m_amp   <-> m_loo        identity: (tau, lam) -> (tau, lam)
-    m_cgmt   -> m_loo        tau1 = tau3, lam1 = alpha/mu
-    lasso_cgmt -> lasso_amp  tau1 = gamma2/theta, gamma1 = lambda*/theta - lambda*
-    logistic_cgmt -> logistic_loo
-                             alpha1 = alpha2/sqrt(kappa), sigma = mu/r*, lam1 = lam2
+    m_amp          -> m_loo         tau1 = tau2, lam1 = lam2 (identity)
+    m_cgmt         -> m_loo         tau1 = tau3, lam1 = alpha/mu
+    lasso_cgmt     -> lasso_amp     tau1 = gamma2/theta,
+                                    gamma1 = lambda*/theta - lambda*
+    logistic_cgmt  -> logistic_loo  alpha1 = alpha2/sqrt(kappa), sigma = mu/r*,
+                                    lam1 = lam2
 
-The documented inverses recover the under-determined coordinates from the
-target system's own equations, never from extra assumptions, so a wrong map
-fails loudly on the remaining equations.  ``verify_equivalence`` runs the
+Any two distinct systems of a family are mapped through the canonical one.
+The inverses recover the under-determined coordinates from the target
+system's own equations, never from extra assumptions, so a wrong map fails
+loudly on the remaining equations.  ``verify_equivalence`` runs the
 operational check: solve the source system, map the root, and evaluate the
 target residual at the mapped point.
 """
@@ -26,6 +29,7 @@ from . import losses
 from .errors import ConfigError, NumericError
 from .expectations import expect_noise_sum
 from .systems import (
+    SYSTEMS,
     ProblemSpec,
     SeSolution,
     lasso_signal_moments,
@@ -64,73 +68,82 @@ def _m_loo_to_cgmt(params, spec: ProblemSpec):
 
 
 def _lasso_amp_to_cgmt(params, spec: ProblemSpec):
-    if spec.lambda_star <= 0:
-        raise ConfigError("the lasso map requires lambda_star > 0")
     tau1, gamma1 = params["tau1"], params["gamma1"]
-    theta = spec.lambda_star / (gamma1 + spec.lambda_star)
-    lam = gamma1 / spec.lambda_star
+    k, s2 = spec.kappa, spec.sigma_star ** 2
+    # The fifth CGMT equation with theta = 1/(lam + 1) gives
+    # theta = 1 - kappa P(|theta B + gamma2 Z| > lambda*), and with
+    # gamma2 = theta tau1 that event is |B + tau1 Z| > lambda* + gamma1.
+    active = lasso_signal_moments(spec.prior, 1.0, tau1, spec.lambda_star + gamma1)
+    theta = 1.0 - k * active.eta_deriv
+    if theta <= 0:
+        raise NumericError(f"recovered theta = {theta} is not positive")
+    lam = 1.0 / theta - 1.0
     gamma2 = theta * tau1
-    sigma_tau = lam + 1.0          # sigma * tau2, from the two quadratic equations
+    lp1 = lam + 1.0                # sigma * tau2, from the two quadratic equations
     mom = lasso_signal_moments(spec.prior, theta, gamma2, spec.lambda_star)
     m2 = spec.prior.second_moment()
     if m2 <= 0:
         raise NumericError("signal recovery needs a prior with mass away from zero")
-    alpha = sigma_tau * mom.beta_eta / m2
-    k, s2 = spec.kappa, spec.sigma_star ** 2
+    alpha = lp1 * mom.beta_eta / m2
     R = k * m2
-    lp1 = lam + 1.0
     sigma_sq = lp1 ** 2 * (gamma2 ** 2 - R - s2
                            + 2.0 * ((alpha + lam) * R + lam * s2) / lp1) \
         - (alpha + lam) ** 2 * R - lam ** 2 * s2
     if sigma_sq <= 0:
         raise NumericError(f"recovered sigma^2 = {sigma_sq} is not positive")
-    sigma = float(np.sqrt(sigma_sq))
-    return {"alpha": float(alpha), "sigma": sigma, "tau2": sigma_tau / sigma,
-            "theta": float(theta), "lam": float(lam), "gamma2": float(gamma2)}
+    sigma = np.sqrt(sigma_sq)
+    return {"alpha": alpha, "sigma": sigma, "tau2": lp1 / sigma, "theta": theta, "lam": lam,
+            "gamma2": gamma2}
 
 
+def _logistic_cgmt_to_loo(p, spec: ProblemSpec):
+    if spec.r_star <= 0:
+        raise ConfigError("logistic maps require r_star > 0")
+    return {"alpha1": p["alpha2"] / np.sqrt(spec.kappa), "sigma": p["mu"] / spec.r_star,
+            "lam1": p["lam2"]}
+
+
+CANONICAL = {"m_estimator": "m_loo", "lasso": "lasso_amp", "logistic": "logistic_loo"}
+
+# system -> (map to its family's canonical system, map back from it)
 _MAPS = {
-    ("m_loo", "m_amp"): lambda p, spec: {"tau2": p["tau1"], "lam2": p["lam1"]},
-    ("m_amp", "m_loo"): lambda p, spec: {"tau1": p["tau2"], "lam1": p["lam2"]},
-    ("m_cgmt", "m_loo"): lambda p, spec: {"tau1": p["tau3"], "lam1": p["alpha"] / p["mu"]},
-    ("m_cgmt", "m_amp"): lambda p, spec: {"tau2": p["tau3"], "lam2": p["alpha"] / p["mu"]},
-    ("m_loo", "m_cgmt"): _m_loo_to_cgmt,
-    ("m_amp", "m_cgmt"): lambda p, spec: _m_loo_to_cgmt(
-        {"tau1": p["tau2"], "lam1": p["lam2"]}, spec),
-    ("lasso_cgmt", "lasso_amp"): lambda p, spec: {
-        "tau1": p["gamma2"] / p["theta"],
-        "gamma1": spec.lambda_star / p["theta"] - spec.lambda_star,
-    },
-    ("lasso_amp", "lasso_cgmt"): _lasso_amp_to_cgmt,
-    ("logistic_cgmt", "logistic_loo"): lambda p, spec: {
-        "alpha1": p["alpha2"] / np.sqrt(spec.kappa),
-        "sigma": p["mu"] / spec.r_star,
-        "lam1": p["lam2"],
-    },
-    ("logistic_loo", "logistic_cgmt"): lambda p, spec: {
-        "alpha2": np.sqrt(spec.kappa) * p["alpha1"],
-        "mu": spec.r_star * p["sigma"],
-        "lam2": p["lam1"],
-    },
+    "m_amp": (lambda p, spec: {"tau1": p["tau2"], "lam1": p["lam2"]},
+              lambda p, spec: {"tau2": p["tau1"], "lam2": p["lam1"]}),
+    "m_cgmt": (lambda p, spec: {"tau1": p["tau3"], "lam1": p["alpha"] / p["mu"]},
+               _m_loo_to_cgmt),
+    "lasso_cgmt": (lambda p, spec: {"tau1": p["gamma2"] / p["theta"],
+                                    "gamma1": spec.lambda_star / p["theta"] - spec.lambda_star},
+                   _lasso_amp_to_cgmt),
+    "logistic_cgmt": (_logistic_cgmt_to_loo,
+                      lambda p, spec: {"alpha2": np.sqrt(spec.kappa) * p["alpha1"],
+                                       "mu": spec.r_star * p["sigma"], "lam2": p["lam1"]}),
 }
 
 
 def supported_pairs():
-    return sorted(_MAPS)
+    return sorted((a, b) for a in SYSTEMS for b in SYSTEMS
+                  if a != b and SYSTEMS[a].model == SYSTEMS[b].model)
+
+
+def map_params(params, source: str, target: str, spec: ProblemSpec) -> dict[str, float]:
+    """Map a parameter dict of ``source`` into ``target``, two distinct systems
+    of one family, through the family's canonical system."""
+    model = system_for(source).model
+    if source == target or system_for(target).model != model:
+        raise ConfigError(
+            f"no parameter map from {source} to {target}; "
+            f"supported pairs: {supported_pairs()}")
+    canonical = CANONICAL[model]
+    if source != canonical:
+        params = _MAPS[source][0](params, spec)
+    if target != canonical:
+        params = _MAPS[target][1](params, spec)
+    return {name: float(value) for name, value in params.items()}
 
 
 def map_parameters(sol: SeSolution, target: str, spec: ProblemSpec) -> dict[str, float]:
     """Map a converged source root into the target system's parameters."""
-    system_for(target)
-    key = (sol.system, target)
-    if key not in _MAPS:
-        raise ConfigError(
-            f"no parameter map from {sol.system} to {target}; "
-            f"supported pairs: {supported_pairs()}")
-    if spec.model == "logistic" and spec.r_star <= 0:
-        raise ConfigError("logistic maps require r_star > 0")
-    mapped = _MAPS[key](sol.params, spec)
-    return {name: float(value) for name, value in mapped.items()}
+    return map_params(sol.params, sol.system, target, spec)
 
 
 def verify_equivalence(source: str, target: str, spec: ProblemSpec,

@@ -8,20 +8,18 @@ from scipy.special import expit
 from hdse.errors import ConfigError, NumericError
 from hdse.expectations import (
     bernoulli_gaussian,
-    expect_bivariate_gaussian,
+    bivariate_nodes,
     expect_gauss_1d,
-    expect_noise_gaussian,
     expect_noise_sum,
     expect_noise_zweighted,
-    expect_signal_gaussian,
-    expect_signal_weighted,
-    expect_zv,
     gauss_hermite,
     gaussian,
     point_mass,
     soft_threshold_moments,
     two_point,
+    zv_nodes,
 )
+from hdse.systems import lasso_signal_moments
 
 
 # ---------------------------------------------------------------------------
@@ -79,26 +77,20 @@ RULE = gauss_hermite(61)
 
 
 def test_noise_pair_examples():
-    val = expect_noise_gaussian(lambda w, z: (w + 0.0 * z) ** 2, two_point(1.0, 0.5), 0.0, RULE)
-    assert val == pytest.approx(1.0, abs=1e-12)
-    val = expect_noise_gaussian(lambda w, z: z**4, two_point(1.0, 0.5), 0.0, RULE)
+    sq = lambda s: s**2
+    assert expect_noise_sum(sq, two_point(1.0, 0.5), 0.0, RULE) == pytest.approx(1.0, abs=1e-12)
+    val = expect_noise_sum(lambda s: s**4, point_mass(0.0), 1.0, RULE)
     assert val == pytest.approx(3.0, abs=1e-10)
-    val = expect_noise_gaussian(lambda w, z: (w + z) ** 2, gaussian(0.0, 1.0), 1.0, RULE)
-    assert val == pytest.approx(2.0, abs=1e-10)
+    assert expect_noise_sum(sq, gaussian(0.0, 1.0), 1.0, RULE) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_noise_sum_folding_matches_pair():
-    # E[cos(W + tau Z)] = cos(mean) * exp(-(sd^2 + tau^2)/2), exactly
+    # E[cos(W + tau Z)] = cos(mean) * exp(-(sd^2 + tau^2)/2), exactly; the
+    # fold into one quadrature over the sum must reproduce it
     mean, sd, tau = 0.2, 1.1, 0.8
     exact = np.cos(mean) * np.exp(-0.5 * (sd**2 + tau**2))
     folded = expect_noise_sum(np.cos, gaussian(mean, sd), tau, RULE)
-    tensor = expect_noise_gaussian(lambda w, z: np.cos(w + tau * z),
-                                   gaussian(mean, sd), tau, RULE)
     assert folded == pytest.approx(exact, abs=1e-12)
-    assert tensor == pytest.approx(exact, abs=1e-12)
-    sum_only = expect_noise_gaussian(lambda w, z: np.cos(w + tau * z), gaussian(mean, sd),
-                                     tau, RULE, sum_only=True)
-    assert sum_only == pytest.approx(folded, abs=1e-14)
 
 
 def test_noise_must_not_be_bernoulli_gaussian():
@@ -107,17 +99,14 @@ def test_noise_must_not_be_bernoulli_gaussian():
 
 
 def test_zweighted_matches_direct_tensor():
-    # E[Z cos(W + tau Z)] = -tau * E[sin(W + tau Z)] by the Gaussian identity;
-    # both routes must agree with the tensor evaluation
+    # E[Z cos(W + tau Z)] = -tau * E[sin W] * exp(-tau^2/2) by the Gaussian
+    # identity; E[sin W] is 0 for the centered Gaussian and -0.2 sin 1 for
+    # the two-point law
     tau = 0.7
-    for noise in (gaussian(0.0, 1.3), two_point(1.0, 0.4)):
-        direct = expect_noise_gaussian(lambda w, z: z * np.cos(w + tau * z),
-                                       noise, tau, RULE)
+    for noise, e_sin_w in ((gaussian(0.0, 1.3), 0.0), (two_point(1.0, 0.4), -0.2 * np.sin(1.0))):
+        exact = -tau * e_sin_w * np.exp(-0.5 * tau**2)
         reduced = expect_noise_zweighted(np.cos, noise, tau, RULE)
-        assert reduced == pytest.approx(direct, abs=1e-10)
-    exact = -tau * np.sin(0.0) * np.exp(-0.5 * (1.3**2 + tau**2))
-    assert expect_noise_zweighted(np.cos, gaussian(0.0, 1.3), tau, RULE) == \
-        pytest.approx(exact, abs=1e-12)
+        assert reduced == pytest.approx(exact, abs=1e-12)
 
 
 def test_kinked_integrand_uses_panels():
@@ -134,24 +123,25 @@ def test_kinked_integrand_uses_panels():
 
 
 # ---------------------------------------------------------------------------
-# Signal expectations
+# Signal expectations (closed form over the prior mixture)
 
 
 def test_signal_examples():
-    sq = lambda s: s * s
-    val = expect_signal_gaussian(sq, point_mass(0.0), 1.0, 1.0, RULE)
-    assert val == pytest.approx(1.0, abs=1e-12)
-    val = expect_signal_gaussian(lambda s: s, two_point(2.0, 0.5), 1.0, 1.0, RULE)
-    assert val == pytest.approx(0.0, abs=1e-13)
-    val = expect_signal_gaussian(sq, bernoulli_gaussian(0.1, 3.0), 1.0, 0.0, RULE)
-    assert val == pytest.approx(0.9, abs=1e-12)
+    # at threshold 0 the soft threshold is the identity, so the moments are
+    # those of S = theta*B + gamma*Z itself
+    mom = lasso_signal_moments(point_mass(0.0), 1.0, 1.0, 0.0)
+    assert mom.eta_sq == pytest.approx(1.0, abs=1e-12)
+    mom = lasso_signal_moments(two_point(2.0, 0.5), 1.0, 1.0, 0.0)
+    assert mom.eta == pytest.approx(0.0, abs=1e-13)
+    mom = lasso_signal_moments(bernoulli_gaussian(0.1, 3.0), 1.0, 0.0, 0.0)
+    assert mom.eta_sq == pytest.approx(0.9, abs=1e-12)
 
 
 def test_signal_weighted_matches_monte_carlo_free_identity():
     # E[B * (theta B + gamma Z)] = theta E[B^2]
     prior = bernoulli_gaussian(0.3, 2.0)
     theta, gamma = 0.6, 0.9
-    val = expect_signal_weighted(lambda s: s, prior, theta, gamma, RULE)
+    val = lasso_signal_moments(prior, theta, gamma, 0.0).beta_eta
     assert val == pytest.approx(theta * prior.second_moment(), abs=1e-12)
 
 
@@ -159,32 +149,37 @@ def test_signal_weighted_matches_monte_carlo_free_identity():
 # Bivariate expectations
 
 
+def bivariate_mean(f, cov):
+    q1, q2, wgt = bivariate_nodes(cov, RULE)
+    return float(np.sum(wgt * f(q1, q2)))
+
+
 def test_bivariate_examples():
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-    assert expect_bivariate_gaussian(lambda a, b: a * b, cov, RULE) == pytest.approx(0.5, abs=1e-10)
+    assert bivariate_mean(lambda a, b: a * b, cov) == pytest.approx(0.5, abs=1e-10)
     cov2 = np.array([[2.0, 0.0], [0.0, 1.0]])
-    assert expect_bivariate_gaussian(lambda a, b: a * a, cov2, RULE) == pytest.approx(2.0, abs=1e-10)
+    assert bivariate_mean(lambda a, b: a * a, cov2) == pytest.approx(2.0, abs=1e-10)
     eye = np.eye(2)
-    assert expect_bivariate_gaussian(lambda a, b: a * b, eye, RULE) == pytest.approx(0.0, abs=1e-12)
+    assert bivariate_mean(lambda a, b: a * b, eye) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bivariate_permutation_invariance():
     cov = np.array([[1.5, -0.4], [-0.4, 0.8]])
     f = lambda a, b: np.exp(-0.1 * a) * np.tanh(b)
     swapped = cov[::-1, ::-1]
-    v1 = expect_bivariate_gaussian(f, cov, RULE)
-    v2 = expect_bivariate_gaussian(lambda a, b: f(b, a), swapped, RULE)
+    v1 = bivariate_mean(f, cov)
+    v2 = bivariate_mean(lambda a, b: f(b, a), swapped)
     assert v1 == pytest.approx(v2, abs=1e-9)
 
 
 def test_bivariate_rejects_indefinite():
     with pytest.raises(NumericError):
-        expect_bivariate_gaussian(lambda a, b: a, np.array([[1.0, 2.0], [2.0, 1.0]]), RULE)
+        bivariate_nodes(np.array([[1.0, 2.0], [2.0, 1.0]]), RULE)
 
 
 def test_bivariate_accepts_semidefinite_with_jitter():
     cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-    val = expect_bivariate_gaussian(lambda a, b: (a - b) ** 2, cov, RULE)
+    val = bivariate_mean(lambda a, b: (a - b) ** 2, cov)
     assert val == pytest.approx(0.0, abs=1e-9)
 
 
@@ -192,19 +187,24 @@ def test_bivariate_accepts_semidefinite_with_jitter():
 # Tilted label-variable expectations
 
 
+def zv_mean(f, r_star):
+    Z, V, wgt = zv_nodes(r_star, RULE)
+    return float(np.sum(wgt * f(Z, V)))
+
+
 def test_zv_normalization_exact():
-    assert expect_zv(lambda z, v: np.ones_like(z), 1.7, RULE) == pytest.approx(1.0, abs=1e-14)
+    assert zv_mean(lambda z, v: np.ones_like(z), 1.7) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_zv_reduces_to_gaussian_at_zero_tilt():
-    assert expect_zv(lambda z, v: v * v, 0.0, RULE) == pytest.approx(1.0, abs=1e-12)
+    assert zv_mean(lambda z, v: v * v, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zv_mean_of_v_against_adaptive_oracle():
     # oracle: integral of v * phi(v) * 2 sigmoid(2 v) by adaptive quadrature
     oracle = quad(lambda v: v * np.exp(-0.5 * v * v) / np.sqrt(2 * np.pi)
                   * 2.0 * expit(2.0 * v), -12, 12, epsabs=1e-13)[0]
-    val = expect_zv(lambda z, v: v, 2.0, RULE)
+    val = zv_mean(lambda z, v: v, 2.0)
     assert val == pytest.approx(oracle, abs=1e-8)
     assert val == pytest.approx(0.6057055, abs=1e-6)
 
@@ -212,7 +212,7 @@ def test_zv_mean_of_v_against_adaptive_oracle():
 def test_zv_function_of_z_only_matches_plain_gaussian():
     f = lambda z: np.cos(z)
     plain = float(np.dot(RULE.weights, f(RULE.nodes)))
-    val = expect_zv(lambda z, v: f(z), 1.3, RULE)
+    val = zv_mean(lambda z, v: f(z), 1.3)
     assert abs(val - plain) < 1e-12
 
 

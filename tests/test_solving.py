@@ -147,6 +147,18 @@ def test_explicit_start_failure_raises_without_walk():
     assert solve_system("m_loo", spec, x0="auto").converged
 
 
+@pytest.mark.parametrize("system,kappa", [("lasso_amp", 1.0), ("lasso_cgmt", 1.0),
+                                          ("lasso_cgmt", 1.6)])
+def test_zero_penalty_lasso_nonexistence(system, kappa):
+    # tau1 diverges at kappa = 1; past it lasso_cgmt would need theta -> 0
+    spec = ProblemSpec("lasso", kappa=kappa, lambda_star=0.0,
+                       prior=bernoulli_gaussian(0.1, math.sqrt(10.0)),
+                       noise=gaussian(0.0, 1.0))
+    with pytest.raises(LikelyNonExistence) as exc:
+        solve_system(system, spec)
+    assert exc.value.iterations is None    # raised before any iteration
+
+
 @pytest.mark.parametrize("r_star", sorted(KAPPA_CRITICAL))
 def test_kappa_critical_values(r_star):
     rule = ProblemSpec("logistic", kappa=0.1, r_star=r_star).rule()

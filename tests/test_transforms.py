@@ -42,16 +42,25 @@ def test_unsupported_pair_is_usage_error():
     spec = ProblemSpec("m_estimator", kappa=0.5, loss=HUBER, noise=gaussian(0.0, 1.0))
     with pytest.raises(ConfigError):
         map_parameters(sol_of("m_loo", {"tau1": 1.0, "lam1": 1.0}), "lasso_amp", spec)
-    assert ("m_loo", "m_amp") in supported_pairs()
+    with pytest.raises(ConfigError):
+        map_parameters(sol_of("m_loo", {"tau1": 1.0, "lam1": 1.0}), "m_loo", spec)
+    # every ordered pair of distinct systems within a family
+    assert supported_pairs() == [
+        ("lasso_amp", "lasso_cgmt"), ("lasso_cgmt", "lasso_amp"),
+        ("logistic_cgmt", "logistic_loo"), ("logistic_loo", "logistic_cgmt"),
+        ("m_amp", "m_cgmt"), ("m_amp", "m_loo"), ("m_cgmt", "m_amp"),
+        ("m_cgmt", "m_loo"), ("m_loo", "m_amp"), ("m_loo", "m_cgmt"),
+    ]
 
 
 def test_round_trips_are_identity():
     spec = ProblemSpec("m_estimator", kappa=0.3, loss=HUBER, noise=gaussian(0.0, 1.0))
-    base = solve_system("m_loo", spec)
-    forward = map_parameters(base, "m_amp", spec)
-    back = map_parameters(sol_of("m_amp", forward), "m_loo", spec)
-    for key, value in base.params.items():
-        assert back[key] == pytest.approx(value, abs=1e-12)
+    for source, target in (("m_loo", "m_amp"), ("m_amp", "m_cgmt")):
+        base = solve_system(source, spec)
+        forward = map_parameters(base, target, spec)
+        back = map_parameters(sol_of(target, forward), source, spec)
+        for key, value in base.params.items():
+            assert back[key] == pytest.approx(value, abs=1e-12)
 
     lasso = ProblemSpec("lasso", kappa=0.5, prior=bernoulli_gaussian(0.1, np.sqrt(10)),
                         noise=gaussian(0.0, 1.0), lambda_star=0.1)
@@ -98,6 +107,8 @@ def test_verify_equivalence_reports():
     assert report.source_iterations == direct.iterations
     assert report.tolerance == pytest.approx(1e-7)
     assert set(report.mapped_params) == {"tau3", "alpha", "mu"}
+    for source, target in (("m_amp", "m_cgmt"), ("m_cgmt", "m_amp")):
+        assert verify_equivalence(source, target, spec).passed
 
     lasso = ProblemSpec("lasso", kappa=0.5, prior=bernoulli_gaussian(0.1, np.sqrt(10)),
                         noise=gaussian(0.0, 1.0), lambda_star=0.1)
@@ -112,10 +123,11 @@ def test_verify_equivalence_reports():
 def test_predicted_mse_invariant_across_mapped_roots():
     spec = ProblemSpec("m_estimator", kappa=0.3, loss=HUBER, noise=gaussian(0.0, 1.0))
     loo = solve_system("m_loo", spec)
-    cg_params = map_parameters(loo, "m_cgmt", spec)
-    cg = SeSolution("m_cgmt", cg_params, 1e-9, 1)
-    assert mse_from_solution(cg, spec) == pytest.approx(mse_from_solution(loo, spec),
-                                                        rel=1e-6)
+    for source in (loo, solve_system("m_amp", spec)):
+        cg_params = map_parameters(source, "m_cgmt", spec)
+        cg = SeSolution("m_cgmt", cg_params, 1e-9, 1)
+        assert mse_from_solution(cg, spec) == pytest.approx(mse_from_solution(loo, spec),
+                                                            rel=1e-6)
 
     logistic = ProblemSpec("logistic", kappa=0.1, r_star=1.0)
     cgmt = solve_system("logistic_cgmt", logistic)
@@ -125,9 +137,16 @@ def test_predicted_mse_invariant_across_mapped_roots():
         mse_from_solution(cgmt, logistic), rel=1e-6)
 
 
-def test_lasso_map_requires_positive_penalty():
-    lasso = ProblemSpec("lasso", kappa=0.5, prior=point_mass(0.0),
+@pytest.mark.parametrize("kappa", [0.3, 0.5, 0.8])
+def test_lasso_map_at_zero_penalty(kappa):
+    # at lambda* = 0 the lasso is least squares: theta = 1 - kappa,
+    # lam = kappa/(1 - kappa) and alpha = 1 (no shrinkage)
+    lasso = ProblemSpec("lasso", kappa=kappa, prior=bernoulli_gaussian(0.1, np.sqrt(10)),
                         noise=gaussian(0.0, 1.0), lambda_star=0.0)
-    sol = sol_of("lasso_amp", {"tau1": np.sqrt(2.0), "gamma1": 0.0})
-    with pytest.raises(ConfigError):
-        map_parameters(sol, "lasso_cgmt", lasso)
+    sol = solve_system("lasso_cgmt", lasso)
+    assert sol.converged
+    assert sol.params["theta"] == pytest.approx(1.0 - kappa, abs=1e-12)
+    assert sol.params["lam"] == pytest.approx(kappa / (1.0 - kappa), abs=1e-12)
+    assert sol.params["alpha"] == pytest.approx(1.0, abs=1e-12)
+    assert verify_equivalence("lasso_amp", "lasso_cgmt", lasso).passed
+    assert verify_equivalence("lasso_cgmt", "lasso_amp", lasso).passed
