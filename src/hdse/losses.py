@@ -19,11 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .errors import NumericError
+
 LOSS_KINDS = ("quadratic", "absolute", "huber", "logistic_rho", "logistic_ell")
 
-# Inner solve for the logistic proximal maps. The scalar equation is strictly
-# monotone, so the bracket never fails; 100 iterations is far more than the
-# safeguarded Newton ever needs.
+# Iteration cap of the inner solve for the logistic proximal maps.  The scalar
+# equation is strictly monotone, so the bracket never fails; on the 61x61
+# quadrature grids the safeguarded Newton takes at most 10 iterations for
+# t <= 30 and 50 at t = 1e12.  Exhausting the cap raises NumericError instead
+# of returning an unconverged prox.
 PROX_MAX_ITER = 100
 
 
@@ -131,33 +135,50 @@ def loss_curvature(loss: LossSpec, x):
 
 
 def _prox_logistic(loss: LossSpec, x: np.ndarray, t: float) -> np.ndarray:
-    # Solve p + t*loss'(p) = x. loss' is bounded in (0,1) for rho and (-1,0)
-    # for ell, which gives a width-t bracket around the root.  Newton steps
-    # are accepted only when they stay inside the bracket and at least halve
-    # the previous step, otherwise the bracket is bisected; this rules out
-    # the oscillation Newton is prone to at large t.
-    if loss.kind == "logistic_rho":
-        lo, hi = x - t, x.copy()
-    else:
-        lo, hi = x.copy(), x + t
-    p = np.clip(x - t * loss_deriv(loss, x), lo, hi)
+    # ell is solved through the reflection prox_ell(x) = -prox_rho(-x), so the
+    # inner loop only evaluates sigmoid(p), never the cancelling
+    # sigmoid(p) - 1, whose absolute error times t keeps large-t ell solves
+    # from reaching tol.
+    if loss.kind == "logistic_ell":
+        return -_prox_rho(-x, t)
+    return _prox_rho(x, t)
+
+
+def _prox_rho(x: np.ndarray, t: float) -> np.ndarray:
+    # Solve p + t*sigmoid(p) = x. sigmoid is bounded in (0,1), which gives the
+    # width-t bracket [x - t, x].  Newton steps are accepted only when they
+    # stay inside the bracket and at least halve the previous step, otherwise
+    # the bracket is bisected; this rules out the oscillation Newton is prone
+    # to at large t.  Entries already within tol skip that safeguard and take
+    # the plain (tiny) Newton step: their candidate sits on a bracket end and
+    # their previous step is ~0, so the safeguard would bisect them away from
+    # the root every iteration.
+    lo, hi = x - t, x.copy()
+    p = np.clip(x - t * expit(x), lo, hi)
     step_prev = np.full_like(x, 2.0 * t)
     tol = 1e-14 * (1.0 + np.abs(x))
     for _ in range(PROX_MAX_ITER):
-        f = p + t * loss_deriv(loss, p) - x
-        if np.all(np.abs(f) <= tol):
-            break
+        s = expit(p)
+        f = p + t * s - x
+        df = 1.0 + t * s * (1.0 - s)
+        # Within tol, or within one float spacing of the root by the Newton
+        # estimate: at large t the rounding of p + t*s alone can exceed tol.
+        done = np.abs(f) <= np.maximum(tol, df * np.abs(np.spacing(p)))
+        if np.all(done):
+            return p
         pos = f > 0
         hi = np.where(pos, p, hi)
         lo = np.where(pos, lo, p)
-        df = 1.0 + t * loss_curvature(loss, p)
         newton = p - f / df
-        bisect = (np.abs(2.0 * f) > np.abs(step_prev * df)) \
-            | (newton <= lo) | (newton >= hi)
+        bisect = ~done & ((np.abs(2.0 * f) > np.abs(step_prev * df))
+                          | (newton <= lo) | (newton >= hi))
         cand = np.where(bisect, 0.5 * (lo + hi), newton)
         step_prev = np.abs(cand - p)
         p = cand
-    return p
+    worst = float(np.max(np.abs(f) / tol))
+    raise NumericError(
+        f"logistic prox at t={t:g} not within tol after {PROX_MAX_ITER} iterations "
+        f"(worst |f|/tol = {worst:.3g})")
 
 
 def prox(loss: LossSpec, x, t):

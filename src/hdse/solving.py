@@ -6,7 +6,7 @@ max-norm.  Every system shares one fallback: when Newton from the automatic
 start fails, the solve walks kappa up from near zero in steps of
 ``KAPPA_STEP`` and warm-starts Newton at each step from the previous root.
 Where no finite root exists the solve raises ``LikelyNonExistence`` up
-front: for the logistic systems at or above the closed-form boundary
+front (``require_existence``): for the logistic systems at or above the closed-form boundary
 ``kappa_critical``, and for the lasso at lambda_star = 0 with kappa = 1
 (with kappa >= 1 for ``lasso_cgmt``).
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     ConfigError,
@@ -187,6 +186,8 @@ def auto_init(system: str, spec: ProblemSpec, opts: SolverOptions | None = None)
         lo, hi = opts.positivity_floor, tau0
         gamma0 = spec.lambda_star
         if k >= 1.0 and row(lo) > 0.0:
+            from scipy.optimize import brentq  # deferred like minimize_scalar
+
             while row(hi) > 0.0:
                 hi *= 2.0
             gamma0 = brentq(row, lo, hi)
@@ -217,9 +218,35 @@ def kappa_critical(r_star: float, rule: QuadratureRule) -> float:
     The maximum-likelihood estimate exists asymptotically iff kappa is below
     it (Candes & Sur, Ann. Statist. 2020); V is the label-tilted variable.
     """
+    from scipy.optimize import minimize_scalar  # deferred: costs ~0.25 s of CLI import
+
     Z, V, wgt = zv_nodes(r_star, rule)
     return float(minimize_scalar(
         lambda t: np.sum(wgt * np.maximum(Z - t * V, 0.0) ** 2)).fun)
+
+
+def require_existence(system: str, spec: ProblemSpec) -> None:
+    """Raise LikelyNonExistence where ``system`` has no finite root at ``spec``.
+
+    That is a logistic kappa at or above ``kappa_critical``, and the lasso at
+    lambda_star = 0 with kappa = 1 (or kappa >= 1 for lasso_cgmt).  A spec of
+    another family is a ConfigError.
+    """
+    model = system_for(system).model
+    if model != spec.model:
+        raise ConfigError(f"system {system} expects model {model}, spec has {spec.model}")
+    if model == "logistic":
+        kc = kappa_critical(spec.r_star, spec.rule())
+        if spec.kappa >= kc:
+            raise LikelyNonExistence(
+                f"kappa={spec.kappa:g} is at or above the existence boundary "
+                f"kappa_c={kc:.5f} for r_star={spec.r_star:g}; {system} has no finite root "
+                "(maximum-likelihood phase transition)")
+    elif spec.lambda_star == 0 and (spec.kappa == 1 or system == "lasso_cgmt" and spec.kappa > 1):
+        # only the lasso reaches kappa >= 1.  tau1 -> infinity at kappa = 1 (the
+        # least-squares risk); past it the basis-pursuit root maps to theta -> 0
+        raise LikelyNonExistence(
+            f"{system} has no finite root at lambda_star=0, kappa={spec.kappa:g}")
 
 
 def _kappa_walk(system: str, spec: ProblemSpec, opts: SolverOptions, newton_from):
@@ -245,25 +272,11 @@ def solve_system(system: str, spec: ProblemSpec, x0="auto",
     NonConvergence with the best iterate attached when Newton stalls or runs
     out of iterations, SingularJacobian (a NumericError) when the Jacobian
     degenerates, and LikelyNonExistence before any iteration where no finite
-    root exists: a logistic kappa at or above ``kappa_critical``, and the
-    lasso at lambda_star = 0 with kappa = 1 (or kappa >= 1 for lasso_cgmt).
+    root exists (``require_existence``).
     """
     opts = opts or SolverOptions()
+    require_existence(system, spec)
     sdef = system_for(system)
-    if sdef.model != spec.model:
-        raise ConfigError(f"system {system} expects model {sdef.model}, spec has {spec.model}")
-    if sdef.model == "logistic":
-        kc = kappa_critical(spec.r_star, spec.rule())
-        if spec.kappa >= kc:
-            raise LikelyNonExistence(
-                f"kappa={spec.kappa:g} is at or above the existence boundary "
-                f"kappa_c={kc:.5f} for r_star={spec.r_star:g}; {system} has no finite root "
-                "(maximum-likelihood phase transition)")
-    elif spec.lambda_star == 0 and (spec.kappa == 1 or system == "lasso_cgmt" and spec.kappa > 1):
-        # only the lasso reaches kappa >= 1.  tau1 -> infinity at kappa = 1 (the
-        # least-squares risk); past it the basis-pursuit root maps to theta -> 0
-        raise LikelyNonExistence(
-            f"{system} has no finite root at lambda_star=0, kappa={spec.kappa:g}")
     clamp = _clamp_for(sdef, opts.positivity_floor)
 
     def newton_from(start, at_spec):

@@ -152,10 +152,14 @@ def verify_equivalence(source: str, target: str, spec: ProblemSpec,
 
     The pass threshold is 100x the solve tolerance: the mapped point inherits
     the source-solve error amplified through the nonlinear expectations.
+    Raises LikelyNonExistence, before solving, where either system has no
+    finite root (``solving.require_existence``).
     """
-    from .solving import SolverOptions, solve_system
+    from .solving import SolverOptions, require_existence, solve_system
 
     opts = opts or SolverOptions()
+    # a target without a root raises LikelyNonExistence, not a map failure
+    require_existence(target, spec)
     sol = solve_system(source, spec, opts=opts)
     mapped = map_parameters(sol, target, spec)
     sdef = system_for(target)

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -190,3 +193,13 @@ def test_solver_flag_overrides(tmp_path):
     row = read_rows(out)[0]
     assert float(row["residual_norm"]) <= 1e-11
     assert row["quad_order"] == "81"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is a quarter of the CLI import time; only kappa_critical
+    # and the kappa >= 1 lasso start need it, and they import it themselves
+    code = "import sys, hdse.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                         check=True)
+    assert out.stdout.strip() == "False"

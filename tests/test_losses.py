@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import expit
 
+import hdse.losses
+from hdse.expectations import bivariate_nodes, zv_nodes
 from hdse.losses import (
     LossSpec,
     eval_loss,
@@ -18,6 +20,7 @@ from hdse.losses import (
     prox_kinks,
     soft_threshold,
 )
+from hdse.systems import ProblemSpec, logistic_loo_covariance
 
 ALL_LOSSES = [
     LossSpec("quadratic"),
@@ -66,6 +69,65 @@ def test_prox_logistic_against_bisection_oracle():
     value = prox(LossSpec("logistic_rho"), 0.0, 1.0)
     assert value == pytest.approx(oracle, abs=1e-10)
     assert value == pytest.approx(-0.4010581, abs=1e-6)
+
+
+# Two se_logistic points, (r*, kappa = fraction * kappa_c(r*)), with their roots
+# to three digits: (alpha1, sigma) of logistic_loo, (alpha2, mu) of logistic_cgmt.
+SE_LOGISTIC_POINTS = [(1.0, 0.4 * 0.43894, (3.08, 1.26), (1.29, 1.26)),
+                      (2.0, 0.7 * 0.34493, (5.32, 1.68), (2.61, 3.35))]
+
+
+def _se_logistic_grids():
+    for r_star, kappa, (alpha1, sigma), (alpha2, mu) in SE_LOGISTIC_POINTS:
+        spec = ProblemSpec("logistic", kappa=kappa, r_star=r_star)
+        rule = spec.rule()
+        _, q2, _ = bivariate_nodes(logistic_loo_covariance(spec, alpha1, sigma), rule)
+        Z, V, _ = zv_nodes(r_star, rule)
+        yield q2
+        yield alpha2 * Z + mu * V
+
+
+@pytest.mark.parametrize("kind", ["logistic_rho", "logistic_ell"])
+def test_prox_logistic_inner_iterations_bounded(kind, monkeypatch):
+    # one sigmoid evaluation per inner iteration, plus the start; converged
+    # entries must not be bisected away from the root while others finish
+    calls = []
+    real = hdse.losses.expit
+    monkeypatch.setattr(hdse.losses, "expit", lambda z: calls.append(1) or real(z))
+    loss = LossSpec(kind)
+    for x in _se_logistic_grids():
+        for t in (1e-3, 0.1, 1.0, 10.0, 30.0):
+            calls.clear()
+            p = prox(loss, x, t)
+            assert len(calls) <= 12, (t, len(calls))
+            assert np.max(np.abs(t * loss_deriv(loss, p) + p - x)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["logistic_rho", "logistic_ell"])
+@pytest.mark.parametrize("t", [1.0, 1e3, 1e5])
+def test_prox_logistic_against_brentq_oracle(kind, t):
+    # the oracle solves the optimality condition in its non-cancelling form,
+    # p - t*sigmoid(-p) = x for ell, on the bracket the loss derivative bounds
+    x = np.array([-60.0, -20.0, -5.0, -1.0, 0.0, 0.3, 1.0, 5.0, 20.0, 60.0])
+    if kind == "logistic_rho":
+        oracle = [brentq(lambda p, v: p + t * expit(p) - v, v - t, v, args=(v,),
+                         xtol=1e-300, rtol=1e-15, maxiter=500) for v in x]
+    else:
+        oracle = [brentq(lambda p, v: p - t * expit(-p) - v, v, v + t, args=(v,),
+                         xtol=1e-300, rtol=1e-15, maxiter=500) for v in x]
+    p = prox(LossSpec(kind), x, t)
+    assert np.all(np.abs(p - oracle) <= 1e-14 * (1.0 + np.abs(x)))
+
+
+def test_prox_logistic_large_scale_converges():
+    # at large t the rounding of p + t*sigmoid(p) alone exceeds the residual
+    # tol; the solve still stops at the rounded root instead of the cap
+    x = np.random.default_rng(17).normal(0.0, 20.0, 4000)
+    for t in (1e6, 1e8):
+        p = prox(LossSpec("logistic_rho"), x, t)
+        assert np.max(np.abs(p + t * expit(p) - x) / (1.0 + np.abs(p))) < 1e-14
+        p = prox(LossSpec("logistic_ell"), x, t)
+        assert np.max(np.abs(p - t * expit(-p) - x) / (1.0 + np.abs(p))) < 1e-14
 
 
 def test_prox_rejects_bad_scale():

@@ -19,6 +19,7 @@ from hdse.solving import (
     solve_system,
 )
 from hdse.systems import SYSTEMS, ProblemSpec
+from hdse.transforms import verify_equivalence
 
 # kappa_c(r*) of the logistic model to 1e-5 (121-point rule).
 KAPPA_CRITICAL = {0.5: 0.48161, 1.0: 0.43894, 2.0: 0.34493}
@@ -157,6 +158,11 @@ def test_zero_penalty_lasso_nonexistence(system, kappa):
     with pytest.raises(LikelyNonExistence) as exc:
         solve_system(system, spec)
     assert exc.value.iterations is None    # raised before any iteration
+    # verify_equivalence checks the target before mapping, in both directions
+    other = "lasso_cgmt" if system == "lasso_amp" else "lasso_amp"
+    for source, target in ((system, other), (other, system)):
+        with pytest.raises(LikelyNonExistence):
+            verify_equivalence(source, target, spec)
 
 
 @pytest.mark.parametrize("r_star", sorted(KAPPA_CRITICAL))
