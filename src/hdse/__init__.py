@@ -29,7 +29,7 @@ from .expectations import (
     two_point,
 )
 from .losses import LossSpec, MoreauBundle, eval_loss, moreau_bundle, prox, soft_threshold
-from .solving import SolverOptions, probe_uniqueness, solve_system
+from .solving import SolverOptions, solve_system
 from .systems import ProblemSpec, SeSolution, SYSTEMS, mse_from_solution
 from .transforms import EquivalenceReport, map_parameters, verify_equivalence
 
@@ -59,7 +59,6 @@ __all__ = [
     "moreau_bundle",
     "mse_from_solution",
     "point_mass",
-    "probe_uniqueness",
     "prox",
     "soft_threshold",
     "solve_system",

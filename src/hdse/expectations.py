@@ -152,55 +152,155 @@ def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def expect_gauss_1d(g, mean: float, sd: float, rule: QuadratureRule, kinks=()) -> float:
-    """E[g(X)] for X ~ N(mean, sd^2).
+def _gauss_nodes(mean, sd, rule: QuadratureRule, kinks):
+    """Nodes and weights of E[g(X)], X ~ N(mean, sd^2), per row of mean/sd.
+
+    Returns ``(x, w, dens, half)``: E[g(X)] is the sum over panels j of
+    ``half[..., j] * sum_k w * g(x) * dens`` over the last axis.  A row with
+    no kink strictly inside its +-PANEL_HALFWIDTH sd window gets the
+    Gauss-Hermite rule in panel 0; a row with kinks gets Gauss-Legendre
+    panels split at them.  Padding panels have zero width, and ``dens`` and
+    ``half`` are None when every row is Gauss-Hermite.  A row with sd = 0 is
+    a point evaluation at its mean.
+    """
+    mean, sd = np.asarray(mean, dtype=float), np.asarray(sd, dtype=float)
+    lo = mean - PANEL_HALFWIDTH * sd
+    hi = mean + PANEL_HALFWIDTH * sd
+    inside = None
+    if kinks:
+        ks = np.empty(lo.shape + (len(kinks),))
+        for j, k in enumerate(kinks):
+            ks[..., j] = k
+        inside = (lo[..., None] < ks) & (ks < hi[..., None])
+        if not inside.any():
+            inside = None
+    point = sd == 0.0
+    if inside is None:
+        x = mean[..., None] + sd[..., None] * rule.nodes
+        w = rule.weights
+        if point.any():
+            w = np.where(point[..., None], _unit(w.size), w)
+        return x, w, None, None
+    u, wl = _legendre(rule.order)
+    npts = u.size
+    n_panels = int(inside.sum(axis=-1).max()) + 1
+    # valid cuts first in ascending order, the rest padded with hi
+    cuts = np.sort(np.where(inside, ks, np.inf), axis=-1)[..., :n_panels - 1]
+    edges = np.concatenate([lo[..., None], np.minimum(cuts, hi[..., None]), hi[..., None]],
+                           axis=-1)
+    a, b = edges[..., :-1], edges[..., 1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    x = mid[..., None] + half[..., None] * u
+    m, s = mean[..., None, None], sd[..., None, None]
+    s_dens = np.where(point, 1.0, sd) if point.any() else sd
+    inv = 1.0 / (np.sqrt(2.0 * np.pi) * s_dens)
+    dens = inv[..., None, None] * np.exp(-0.5 * ((x - m) / s_dens[..., None, None]) ** 2)
+    w = wl
+    gh = ~inside.any(axis=-1)
+    if gh.any():
+        # Gauss-Hermite (or point) rows: the rule in panel 0, nothing after it
+        first = np.arange(n_panels) == 0
+        gx = m + s * np.where(first[:, None], _pad(rule.nodes, npts), 0.0)
+        gw = np.where(point[..., None], _unit(npts), _pad(rule.weights, npts))
+        gw = np.where(first[:, None], gw[..., None, :], 0.0)
+        g3 = gh[..., None, None]
+        x = np.where(g3, gx, x)
+        w = np.where(g3, gw, w)
+        dens = np.where(g3, 1.0, dens)
+        half = np.where(gh[..., None], first.astype(float), half)
+    return x, w, dens, half
+
+
+def _pad(v: np.ndarray, size: int) -> np.ndarray:
+    return v if v.size == size else np.concatenate([v, np.zeros(size - v.size)])
+
+
+def _unit(size: int) -> np.ndarray:
+    e = np.zeros(size)
+    e[0] = 1.0
+    return e
+
+
+def _gauss_sum(vals: np.ndarray, w, dens, half) -> np.ndarray:
+    """Contract g values on ``_gauss_nodes`` output to one value per row.
+
+    Each panel is one dot product over its nodes, and panels are added in
+    order, so a row's value does not depend on the other rows.
+    """
+    if dens is None:
+        return np.vecdot(vals, w)
+    panel = np.vecdot(vals * dens, w)
+    total = 0.0
+    for j in range(half.shape[-1]):
+        total = total + half[..., j] * panel[..., j]
+    return total
+
+
+def _scalar_or_array(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def expect_gauss_1d(g, mean, sd, rule: QuadratureRule, kinks=()):
+    """E[g(X)] for X ~ N(mean, sd^2), one value per entry of ``mean``/``sd``.
 
     With ``kinks`` (abscissae where g is not smooth) inside the integration
     window, the Gaussian weight is folded into the integrand and each smooth
-    segment is handled by a Gauss-Legendre panel of the same order.
+    segment is handled by a Gauss-Legendre panel of the same order.  ``g`` is
+    called once, on every node of every entry; it may return several values
+    stacked on leading axes, which are integrated separately.
     """
-    if sd == 0.0:
-        return float(np.asarray(g(np.asarray([mean])))[0])
-    lo = mean - PANEL_HALFWIDTH * sd
-    hi = mean + PANEL_HALFWIDTH * sd
-    cuts = sorted(k for k in kinks if lo < k < hi)
-    if not cuts:
-        vals = g(mean + sd * rule.nodes)
-        return float(np.dot(rule.weights, vals))
-    u, w = _legendre(rule.order)
-    edges = [lo, *cuts, hi]
-    total = 0.0
-    inv = 1.0 / (np.sqrt(2.0 * np.pi) * sd)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        x = mid + half * u
-        dens = inv * np.exp(-0.5 * ((x - mean) / sd) ** 2)
-        total += half * float(np.dot(w, np.asarray(g(x)) * dens))
-    return total
+    x, w, dens, half = _gauss_nodes(mean, sd, rule, kinks)
+    return _scalar_or_array(_gauss_sum(np.asarray(g(x)), w, dens, half))
 
 
 def _noise_components(noise: DistributionSpec):
     if noise.kind == "bernoulli_gaussian":
         raise ConfigError("noise law must be point_mass, two_point, or gaussian")
-    return noise.mixture()
+    return [c for c in noise.mixture() if c[0] != 0.0]
 
 
-def expect_noise_sum(g, noise: DistributionSpec, tau: float, rule: QuadratureRule,
-                     kinks=()) -> float:
-    """E[g(W + tau*Z)], W ~ noise independent of Z ~ N(0, 1), kink aware."""
-    if tau < 0:
+def expect_noise_sum(g, noise: DistributionSpec, tau, rule: QuadratureRule, kinks=(),
+                     zweighted=False):
+    """E[g(W + tau*Z)], W ~ noise independent of Z ~ N(0, 1), kink aware.
+
+    ``tau`` and each kink are scalars or one value per row.  ``g`` is called
+    once, on nodes whose leading axis is the row axis (the losses take a
+    per-row prox scale on that axis), and may return several values stacked
+    on leading axes.  ``zweighted`` (one flag, or one per stacked value)
+    selects E[Z * g(W + tau*Z)] instead, as in ``expect_noise_zweighted``;
+    both kinds share the nodes.  Returns a float for a scalar ``tau`` and a
+    single value, else an array shaped ``(*stacked, *tau.shape)``.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if (tau < 0).any():
         raise ConfigError("tau must be nonnegative")
-    total = 0.0
-    for wt, m, s in _noise_components(noise):
-        if wt == 0.0:
-            continue
-        scale = np.hypot(s, tau)
-        total += wt * expect_gauss_1d(g, m, scale, rule, kinks=kinks)
-    return total
+    wts, means, sds = np.array(_noise_components(noise)).T
+    tcol = tau[..., None]
+    x, w, dens, half = _gauss_nodes(means, np.hypot(sds, tcol), rule,
+                                    tuple(np.asarray(k, dtype=float)[..., None] for k in kinks))
+    vals = np.asarray(g(x))
+    single = vals.ndim == x.ndim
+    if single:
+        vals = vals[None]
+    zflags = [zweighted] * len(vals) if np.ndim(zweighted) == 0 else list(zweighted)
+    if any(zflags):
+        if not (tau > 0).all():
+            raise ConfigError("z-weighted expectation requires tau > 0")
+        # Per component the pair (Z, S = W + tau*Z) is jointly Gaussian, so
+        # E[Z g(S)] = Cov(Z, S)/Var(S) * E[(S - E S) g(S)].
+        centred = x - means.reshape((-1,) + (1,) * (x.ndim - tau.ndim - 1))
+        vals = np.array([centred * v if z else v for v, z in zip(vals, zflags)])
+        zfactor = tcol / (sds * sds + tcol * tcol)
+    comp = _gauss_sum(vals, w, dens, half)
+    totals = [0.0] * len(vals)
+    for c, wt in enumerate(wts):
+        for i, z in enumerate(zflags):
+            totals[i] = totals[i] + (wt * zfactor[..., c] if z else wt) * comp[i, ..., c]
+    return _scalar_or_array(totals[0] if single else np.array(totals))
 
 
-def expect_noise_zweighted(g, noise: DistributionSpec, tau: float, rule: QuadratureRule,
-                           kinks=()) -> float:
+def expect_noise_zweighted(g, noise: DistributionSpec, tau, rule: QuadratureRule,
+                           kinks=()):
     """E[Z * g(W + tau*Z)], W ~ noise independent of Z ~ N(0, 1).
 
     Per mixture component the pair (Z, S = W + tau*Z) is jointly Gaussian, so
@@ -208,17 +308,7 @@ def expect_noise_zweighted(g, noise: DistributionSpec, tau: float, rule: Quadrat
     side of the Stein identity free of any derivative of g while still
     reducing the integral to one kink-aware dimension.
     """
-    if tau <= 0:
-        raise ConfigError("z-weighted expectation requires tau > 0")
-    total = 0.0
-    for wt, m, s in _noise_components(noise):
-        if wt == 0.0:
-            continue
-        var = s * s + tau * tau
-        val = expect_gauss_1d(lambda x: (x - m) * np.asarray(g(x)), m, np.sqrt(var),
-                              rule, kinks=kinks)
-        total += wt * (tau / var) * val
-    return total
+    return expect_noise_sum(g, noise, tau, rule, kinks=kinks, zweighted=True)
 
 
 def _cholesky_psd(cov: np.ndarray) -> np.ndarray:
@@ -258,10 +348,11 @@ def zv_nodes(r_star: float, rule: QuadratureRule):
     return Z, V, wgt
 
 
-def soft_threshold_moments(mean: float, sd: float, thresh: float):
+def soft_threshold_moments(mean, sd, thresh):
     """Closed-form Gaussian moments of the soft threshold eta(S; thresh).
 
-    For S ~ N(mean, sd^2) returns ``(e1, e2, es, ep)``:
+    For S ~ N(mean, sd^2) returns ``(e1, e2, es, ep)``, elementwise over
+    broadcastable array arguments:
 
         e1 = E[eta(S)]        e2 = E[eta(S)^2]
         es = E[S eta(S)]      ep = E[eta'(S)] = P(|S| > thresh)
@@ -270,9 +361,9 @@ def soft_threshold_moments(mean: float, sd: float, thresh: float):
     carry no quadrature error at all; the state-equation systems for the
     l1-regularized problem are built on them.
     """
-    if thresh < 0:
+    if (np.asarray(thresh) < 0).any():
         raise ConfigError("threshold must be nonnegative")
-    if sd <= 0:
+    if (np.asarray(sd) <= 0).any():
         raise ConfigError("soft threshold moments require sd > 0")
     a = (thresh - mean) / sd     # standardized upper kink
     b = (-thresh - mean) / sd    # standardized lower kink
@@ -291,18 +382,23 @@ def soft_threshold_moments(mean: float, sd: float, thresh: float):
     lo1 = -phi_b                      # E[X 1{X<b}]
     lo2 = cdf_b - b * phi_b           # E[X^2 1{X<b}]
 
-    e1 = cu * up0 + sd * up1 + cl * lo0 + sd * lo1
-    e2 = (cu * cu * up0 + 2.0 * cu * sd * up1 + sd * sd * up2
-          + cl * cl * lo0 + 2.0 * cl * sd * lo1 + sd * sd * lo2)
+    # Each product is formed once and the sums keep their left-to-right
+    # order, e.g. e1 = ((cu up0 + sd up1) + cl lo0) + sd lo1.
+    sd2 = sd * sd
+    u0, u1 = cu * up0, sd * up1
+    l0, l1 = cl * lo0, sd * lo1
+    e_eta_up = u0 + u1                                             # E[eta 1{X>a}]
+    e_eta2_up = cu * cu * up0 + 2.0 * cu * sd * up1 + sd2 * up2   # E[eta^2 1{X>a}]
+    q0, q1, q2 = cl * cl * lo0, 2.0 * cl * sd * lo1, sd2 * lo2
+    e_eta_lo = l0 + l1                                             # E[eta 1{X<b}]
+    e_eta2_lo = q0 + q1 + q2                                       # E[eta^2 1{X<b}]
+    e1 = e_eta_up + l0 + l1
+    e2 = e_eta2_up + q0 + q1 + q2
     # S*eta = (eta + thresh)*eta above, (eta - thresh)*eta below
-    e_eta_up = cu * up0 + sd * up1
-    e_eta2_up = cu * cu * up0 + 2.0 * cu * sd * up1 + sd * sd * up2
-    e_eta_lo = cl * lo0 + sd * lo1
-    e_eta2_lo = cl * cl * lo0 + 2.0 * cl * sd * lo1 + sd * sd * lo2
     es = (e_eta2_up + thresh * e_eta_up) + (e_eta2_lo - thresh * e_eta_lo)
     ep = up0 + lo0
     return e1, e2, es, ep
 
 
-def _phi(x: float) -> float:
+def _phi(x):
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)

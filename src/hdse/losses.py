@@ -9,7 +9,9 @@ The catalog covers the losses used by the state-equation systems:
     logistic_ell   log(1 + e^-x)
 
 Every operation is a pure function, vectorized over ``x`` so quadrature
-grids can be pushed through in a single call.  Scalars in, scalars out.
+grids can be pushed through in a single call.  Scalars in, scalars out.  The
+prox scale ``t`` is a scalar or one value per row of ``x`` (its leading
+axis), so a stack of parameter points shares one call.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class MoreauBundle:
 
 def _prepare(x):
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite input")
     return arr, arr.ndim == 0
 
@@ -79,10 +81,27 @@ def _ret(value, scalar):
 
 
 def _check_t(t):
-    t = float(t)
-    if not np.isfinite(t) or t <= 0:
-        raise ValueError(f"prox scale t must be positive and finite, got {t}")
+    """A positive finite scale: a float, or a 1-D array with one value per row."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        t = float(t)
+        if not np.isfinite(t) or t <= 0:
+            raise ValueError(f"prox scale t must be positive and finite, got {t}")
+        return t
+    t = t.ravel()
+    if not (t.min() > 0 and t.max() < np.inf):  # a NaN fails the first test
+        bad = t[~((t > 0) & (t < np.inf))][0]
+        raise ValueError(f"prox scale t must be positive and finite, got {bad}")
     return t
+
+
+def _per_row(t, arr):
+    """Broadcast a per-row scale against the rows (leading axis) of ``arr``."""
+    if isinstance(t, float):
+        return t
+    if arr.ndim == 0 or arr.shape[0] != t.size:
+        raise ValueError(f"{t.size} prox scales for an input of shape {arr.shape}")
+    return t.reshape((-1,) + (1,) * (arr.ndim - 1))
 
 
 def eval_loss(loss: LossSpec, x):
@@ -134,25 +153,34 @@ def loss_curvature(loss: LossSpec, x):
     return _ret(out, scalar)
 
 
-def _prox_logistic(loss: LossSpec, x: np.ndarray, t: float) -> np.ndarray:
-    # ell is solved through the reflection prox_ell(x) = -prox_rho(-x), so the
-    # inner loop only evaluates sigmoid(p), never the cancelling
-    # sigmoid(p) - 1, whose absolute error times t keeps large-t ell solves
-    # from reaching tol.
+def _prox_logistic(loss: LossSpec, x: np.ndarray, t):
+    # Returns the prox p with the loss derivative and curvature at p.  ell is
+    # solved through the reflection prox_ell(x) = -prox_rho(-x), so the inner
+    # loop only evaluates sigmoid(p), never the cancelling sigmoid(p) - 1,
+    # whose absolute error times t keeps large-t ell solves from reaching tol.
+    # The derivatives come from the sigmoid s of the last inner step:
+    # rho' = s, and ell'(-p) = -s by the same reflection.
     if loss.kind == "logistic_ell":
-        return -_prox_rho(-x, t)
-    return _prox_rho(x, t)
+        p, s = _prox_rho(-x, t)
+        return -p, -s, s * (1.0 - s)
+    p, s = _prox_rho(x, t)
+    return p, s, s * (1.0 - s)
 
 
-def _prox_rho(x: np.ndarray, t: float) -> np.ndarray:
-    # Solve p + t*sigmoid(p) = x. sigmoid is bounded in (0,1), which gives the
-    # width-t bracket [x - t, x].  Newton steps are accepted only when they
-    # stay inside the bracket and at least halve the previous step, otherwise
-    # the bracket is bisected; this rules out the oscillation Newton is prone
-    # to at large t.  Entries already within tol skip that safeguard and take
-    # the plain (tiny) Newton step: their candidate sits on a bracket end and
-    # their previous step is ~0, so the safeguard would bisect them away from
-    # the root every iteration.
+def _prox_rho(x: np.ndarray, t):
+    # Solve p + t*sigmoid(p) = x; returns p and sigmoid(p). sigmoid is bounded
+    # in (0,1), which gives the width-t bracket [x - t, x].  Newton steps are
+    # accepted only when they stay inside the bracket and at least halve the
+    # previous step, otherwise the bracket is bisected; this rules out the
+    # oscillation Newton is prone to at large t.  Entries already within tol
+    # skip that safeguard and take the plain (tiny) Newton step: their
+    # candidate sits on a bracket end and their previous step is ~0, so the
+    # safeguard would bisect them away from the root every iteration.
+    if np.ndim(t) > 0:
+        # A per-row t solves row by row: a row's iterate must not depend on
+        # how long the other rows take, and one row's grid stays in cache.
+        rows = [_prox_rho(xi, float(ti)) for xi, ti in zip(x, np.ravel(t))]
+        return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
     lo, hi = x - t, x.copy()
     p = np.clip(x - t * expit(x), lo, hi)
     step_prev = np.full_like(x, 2.0 * t)
@@ -164,8 +192,8 @@ def _prox_rho(x: np.ndarray, t: float) -> np.ndarray:
         # Within tol, or within one float spacing of the root by the Newton
         # estimate: at large t the rounding of p + t*s alone can exceed tol.
         done = np.abs(f) <= np.maximum(tol, df * np.abs(np.spacing(p)))
-        if np.all(done):
-            return p
+        if done.all():
+            return p, s
         pos = f > 0
         hi = np.where(pos, p, hi)
         lo = np.where(pos, lo, p)
@@ -181,10 +209,21 @@ def _prox_rho(x: np.ndarray, t: float) -> np.ndarray:
         f"(worst |f|/tol = {worst:.3g})")
 
 
-def prox(loss: LossSpec, x, t):
-    """Proximal map: the minimizer of loss(z) + (x - z)^2 / (2 t)."""
+def prox(loss: LossSpec, x, t, *, with_derivs: bool = False):
+    """Proximal map: the minimizer of loss(z) + (x - z)^2 / (2 t).
+
+    With ``with_derivs`` the result is ``(p, loss'(p), loss''(p))``; the
+    logistic kinds take both derivatives from their inner solve instead of
+    evaluating the sigmoid again.
+    """
     t = _check_t(t)
     arr, scalar = _prepare(x)
+    t = _per_row(t, arr)
+    if loss.kind in ("logistic_rho", "logistic_ell"):
+        p, d1, d2 = _prox_logistic(loss, arr, t)
+        if with_derivs:
+            return _ret(p, scalar), _ret(d1, scalar), _ret(d2, scalar)
+        return _ret(p, scalar)
     if loss.kind == "quadratic":
         out = arr / (1.0 + t)
     elif loss.kind == "absolute":
@@ -192,8 +231,8 @@ def prox(loss: LossSpec, x, t):
     elif loss.kind == "huber":
         d = loss.delta
         out = np.where(np.abs(arr) <= d * (1.0 + t), arr / (1.0 + t), arr - t * d * np.sign(arr))
-    else:
-        out = _prox_logistic(loss, arr, t)
+    if with_derivs:
+        return (_ret(out, scalar), loss_deriv(loss, out), loss_curvature(loss, out))
     return _ret(out, scalar)
 
 
@@ -201,14 +240,16 @@ def prox_deriv(loss: LossSpec, x, t):
     """d prox / d x, computed from the per-loss curvature."""
     t = _check_t(t)
     arr, scalar = _prepare(x)
+    t = _per_row(t, arr)
     if loss.kind == "quadratic":
-        out = np.full_like(arr, 1.0 / (1.0 + t))
+        out = np.empty_like(arr)
+        out[...] = 1.0 / (1.0 + t)
     elif loss.kind == "absolute":
         out = (np.abs(arr) > t).astype(float)
     elif loss.kind == "huber":
         out = np.where(np.abs(arr) <= loss.delta * (1.0 + t), 1.0 / (1.0 + t), 1.0)
     else:
-        p = _prox_logistic(loss, arr, t)
+        p = _prox_logistic(loss, arr, t)[0]
         out = 1.0 / (1.0 + t * loss_curvature(loss, p))
     return _ret(out, scalar)
 
@@ -225,6 +266,7 @@ def moreau_bundle(loss: LossSpec, x, t) -> MoreauBundle:
     t = _check_t(t)
     arr, scalar = _prepare(x)
     p = prox(loss, arr, t)
+    t = _per_row(t, arr)
     dm_dx = (arr - p) / t
     m = eval_loss(loss, p) + 0.5 * (arr - p) ** 2 / t
     if loss.kind == "absolute":
@@ -257,8 +299,11 @@ def soft_threshold(x, t):
     return value, deriv
 
 
-def prox_kinks(loss: LossSpec, t) -> tuple[float, ...]:
-    """Abscissae where x -> prox(x; t) has a derivative jump (empty if smooth)."""
+def prox_kinks(loss: LossSpec, t) -> tuple:
+    """Abscissae where x -> prox(x; t) has a derivative jump (empty if smooth).
+
+    One value per row for a per-row ``t``.
+    """
     t = _check_t(t)
     if loss.kind == "absolute":
         return (-t, t)

@@ -1,10 +1,13 @@
 """Root finding for the state-equation systems.
 
-The workhorse is a damped Newton iteration on a finite-difference Jacobian
-with positivity clamping; accepted steps never increase the residual
-max-norm.  Every system shares one fallback: when Newton from the automatic
-start fails, the solve walks kappa up from near zero in steps of
-``KAPPA_STEP`` and warm-starts Newton at each step from the previous root.
+The workhorse is a damped Newton iteration on a central finite-difference
+Jacobian with positivity clamping; accepted steps never increase the residual
+max-norm.  A residual maps a stack of points, shape ``(m, n)``, to a stack of
+residuals, shape ``(m, n_eq)`` (see ``systems``), so one residual call
+evaluates all 2n difference points of a Jacobian.  Every system shares one
+fallback: when Newton from the automatic start fails, the solve walks kappa
+up from near zero in steps of ``KAPPA_STEP`` and warm-starts Newton at each
+step from the previous root.
 Where no finite root exists the solve raises ``LikelyNonExistence`` up
 front (``require_existence``): for the logistic systems at or above the closed-form boundary
 ``kappa_critical``, and for the lasso at lambda_star = 0 with kappa = 1
@@ -60,21 +63,25 @@ class SolverOptions:
 
 
 def evaluate_jacobian_fd(residual, x, fd_step: float) -> np.ndarray:
-    """Central-difference Jacobian, step scaled per coordinate."""
+    """Central-difference Jacobian, step scaled per coordinate.
+
+    ``residual`` receives the 2n points x +- h_i e_i as one (2n, n) stack and
+    must return one residual row per point.
+    """
     x = np.asarray(x, dtype=float)
     n = x.size
-    cols = []
-    for i in range(n):
-        h = fd_step * max(abs(x[i]), 1.0)
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        rp = np.asarray(residual(xp), dtype=float)
-        rm = np.asarray(residual(xm), dtype=float)
-        if not (np.all(np.isfinite(rp)) and np.all(np.isfinite(rm))):
-            raise NumericError(f"non-finite residual while differencing coordinate {i}")
-        cols.append((rp - rm) / (2.0 * h))
-    return np.column_stack(cols)
+    h = fd_step * np.maximum(np.abs(x), 1.0)
+    idx = np.arange(n)
+    points = np.empty((2 * n, n))
+    points[:] = x
+    points[idx, idx] += h
+    points[n + idx, idx] -= h
+    r = np.asarray(residual(points), dtype=float)
+    if not np.isfinite(r).all():
+        bad = ~np.isfinite(r).reshape(2, n, -1).all(axis=(0, 2))
+        raise NumericError(
+            f"non-finite residual while differencing coordinate {int(np.argmax(bad))}")
+    return ((r[:n] - r[n:]) / (2.0 * h)[:, None]).T
 
 
 def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None, guard=None):
@@ -90,7 +97,7 @@ def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None, gu
     if clamp is not None:
         x = clamp(x)
     r = np.asarray(residual(x), dtype=float)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise NumericError("residual not finite at the initial point")
     norm = float(np.max(np.abs(r)))
     jac_cond = None
@@ -114,7 +121,7 @@ def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None, gu
             if clamp is not None:
                 cand = clamp(cand)
             rc = np.asarray(residual(cand), dtype=float)
-            nc = float(np.max(np.abs(rc))) if np.all(np.isfinite(rc)) else np.inf
+            nc = float(np.max(np.abs(rc))) if np.isfinite(rc).all() else np.inf
             if nc < norm:
                 x, r, norm = cand, rc, nc
                 accepted = True
@@ -198,16 +205,12 @@ def auto_init(system: str, spec: ProblemSpec, opts: SolverOptions | None = None)
 
 
 def _clamp_for(sdef: SystemDef, floor: float):
-    pos = [i for i, n in enumerate(sdef.params) if n in sdef.positive]
-    nonneg = [i for i, n in enumerate(sdef.params) if n in sdef.nonnegative]
+    # a lower bound per column, so a stack of points is clamped row by row
+    lower = np.array([floor if n in sdef.positive else 0.0 if n in sdef.nonnegative
+                      else -np.inf for n in sdef.params])
 
     def clamp(x):
-        x = x.copy()
-        for i in pos:
-            x[i] = max(x[i], floor)
-        for i in nonneg:
-            x[i] = max(x[i], 0.0)
-        return x
+        return np.maximum(x, lower)
 
     return clamp
 
@@ -306,26 +309,3 @@ def solve_system(system: str, spec: ProblemSpec, x0="auto",
     return SeSolution(system=system, params=dict(zip(sdef.params, map(float, x))),
                       residual_norm=info["residual_norm"], iterations=info["iterations"],
                       tol=opts.tol, jac_cond=info["jac_cond"])
-
-
-def probe_uniqueness(system: str, spec: ProblemSpec, opts: SolverOptions | None = None,
-                     factors=(0.5, 0.75, 1.0, 1.5, 2.0)):
-    """Re-solve from spread initializations and report the solution scatter.
-
-    Returns ``(solutions, max_spread, multiple)``; ``multiple`` flags runs
-    that converged to visibly different roots, rather than assuming the
-    root is unique.
-    """
-    opts = opts or SolverOptions()
-    base = auto_init(system, spec, opts)
-    solutions = []
-    for factor in factors:
-        try:
-            solutions.append(solve_system(system, spec, x0=base * factor, opts=opts))
-        except (NonConvergence, NumericError):
-            continue
-    if not solutions:
-        raise NonConvergence(f"no initialization converged for {system}")
-    vectors = np.array([s.vector() for s in solutions])
-    max_spread = float(np.max(np.ptp(vectors, axis=0))) if len(vectors) > 1 else 0.0
-    return solutions, max_spread, max_spread > 1e-6

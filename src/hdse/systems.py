@@ -16,6 +16,14 @@ quadrature, so a given (params, spec) pair always produces bitwise-identical
 values.  The lasso systems use closed-form Gaussian moments of the soft
 threshold instead of quadrature; their expectations carry no integration
 error at all.
+
+Every residual takes a stack of points, ``p`` of shape ``(m, n_params)``, and
+returns ``(m, n_eq)``; a 1-D ``p`` (or a dict of named values) returns one
+1-D residual.  Each row is computed as a call of its own would compute it.
+The M-estimation systems push the quadrature nodes of all rows through the
+loss in one pass, and the lasso moments are elementwise; a logistic point
+integrates over a tensor grid of its own, so those residuals take the rows
+in turn.
 """
 
 from __future__ import annotations
@@ -27,6 +35,10 @@ from scipy.special import expit
 
 from . import losses
 from .errors import ConfigError, StateError
+
+# expect_noise_zweighted is not called here (m_cgmt asks expect_noise_sum for
+# its Z-weighted integral); the benchmark tracer wraps it under this module's
+# name, so the import stays.
 from .expectations import (
     DEFAULT_QUAD_ORDER,
     KINKED_QUAD_ORDER,
@@ -34,7 +46,7 @@ from .expectations import (
     QuadratureRule,
     bivariate_nodes,
     expect_noise_sum,
-    expect_noise_zweighted,
+    expect_noise_zweighted,  # noqa: F401
     gauss_hermite,
     gaussian,
     point_mass,
@@ -171,56 +183,67 @@ class SeSolution:
 
 
 def _unpack(p, names):
+    """Parameter columns of a stack, and whether ``p`` was a single point."""
     if isinstance(p, dict):
         missing = [n for n in names if n not in p]
         if missing:
             raise ConfigError(f"missing parameters {missing}")
-        return [float(p[n]) for n in names]
-    vals = list(np.asarray(p, dtype=float).ravel())
-    if len(vals) != len(names):
-        raise ConfigError(f"expected {len(names)} parameters {names}, got {len(vals)}")
-    return vals
+        p = [p[n] for n in names]
+    arr = np.asarray(p, dtype=float)
+    single = arr.ndim < 2
+    if single:
+        arr = arr.reshape(1, -1)
+    if arr.ndim != 2 or arr.shape[1] != len(names):
+        raise ConfigError(f"expected {len(names)} parameters {names}, got {arr.shape[-1]}")
+    return list(arr.T), single
+
+
+def _rows(equations, single):
+    out = np.array(equations).T
+    return out[0] if single else out
 
 
 def _require_positive(**kv):
     for name, value in kv.items():
-        if not np.isfinite(value) or value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not (value.min() > 0 and value.max() < np.inf):  # a NaN fails the first test
+            bad = value[~((value > 0) & (value < np.inf))][0]
+            raise ValueError(f"{name} must be positive, got {bad}")
 
 
 # ---------------------------------------------------------------------------
 # M-estimation systems
 
 
-def residual_m_loo(p, spec: ProblemSpec, order: int | None = None) -> np.ndarray:
+def residual_m_loo(p, spec: ProblemSpec) -> np.ndarray:
     """LOO system: prox-derivative equation and residual-variance equation."""
-    tau, lam = _unpack(p, ("tau1", "lam1"))
+    (tau, lam), single = _unpack(p, ("tau1", "lam1"))
     _require_positive(tau1=tau, lam1=lam)
-    loss, rule = spec.loss, spec.rule(order)
-    kinks = losses.prox_kinks(loss, lam)
-    e_pd = expect_noise_sum(lambda s: losses.prox_deriv(loss, s, lam),
-                            spec.noise, tau, rule, kinks=kinks)
-    e_sq = expect_noise_sum(lambda s: (s - losses.prox(loss, s, lam)) ** 2,
-                            spec.noise, tau, rule, kinks=kinks)
+    loss = spec.loss
+    e_pd, e_sq = expect_noise_sum(
+        lambda s: np.array([losses.prox_deriv(loss, s, lam),
+                            (s - losses.prox(loss, s, lam)) ** 2]),
+        spec.noise, tau, spec.rule(), kinks=losses.prox_kinks(loss, lam))
     k = spec.kappa
-    return np.array([e_pd - (1.0 - k), e_sq - k * tau * tau])
+    return _rows([e_pd - (1.0 - k), e_sq - k * tau * tau], single)
 
 
-def residual_m_amp(p, spec: ProblemSpec, order: int | None = None) -> np.ndarray:
+def residual_m_amp(p, spec: ProblemSpec) -> np.ndarray:
     """AMP system, written on the Moreau envelope derivatives."""
-    tau, lam = _unpack(p, ("tau2", "lam2"))
+    (tau, lam), single = _unpack(p, ("tau2", "lam2"))
     _require_positive(tau2=tau, lam2=lam)
-    loss, rule = spec.loss, spec.rule(order)
-    kinks = losses.prox_kinks(loss, lam)
-    e_dx2 = expect_noise_sum(lambda s: losses.moreau_bundle(loss, s, lam).dm_dx ** 2,
-                             spec.noise, tau, rule, kinks=kinks)
-    e_dxx = expect_noise_sum(lambda s: losses.moreau_bundle(loss, s, lam).d2m_dx2,
-                             spec.noise, tau, rule, kinks=kinks)
+    loss = spec.loss
+
+    def envelope(s):
+        b = losses.moreau_bundle(loss, s, lam)
+        return np.array([b.dm_dx ** 2, b.d2m_dx2])
+
+    e_dx2, e_dxx = expect_noise_sum(envelope, spec.noise, tau, spec.rule(),
+                                    kinks=losses.prox_kinks(loss, lam))
     k = spec.kappa
-    return np.array([lam * lam * e_dx2 / k - tau * tau, lam * e_dxx - k])
+    return _rows([lam * lam * e_dx2 / k - tau * tau, lam * e_dxx - k], single)
 
 
-def residual_m_cgmt(p, spec: ProblemSpec, order: int | None = None) -> np.ndarray:
+def residual_m_cgmt(p, spec: ProblemSpec) -> np.ndarray:
     """CGMT saddle-point conditions with envelope scale alpha/mu.
 
     The Z-weighted expectation in the stationarity condition for tau is
@@ -228,21 +251,24 @@ def residual_m_cgmt(p, spec: ProblemSpec, order: int | None = None) -> np.ndarra
     identity remains an independent cross-check of this system against the
     AMP one.
     """
-    tau, alpha, mu = _unpack(p, ("tau3", "alpha", "mu"))
+    (tau, alpha, mu), single = _unpack(p, ("tau3", "alpha", "mu"))
     _require_positive(tau3=tau, alpha=alpha, mu=mu)
-    loss, rule = spec.loss, spec.rule(order)
+    loss = spec.loss
     b = alpha / mu
-    kinks = losses.prox_kinks(loss, b)
-    e_dt = expect_noise_sum(lambda s: losses.moreau_bundle(loss, s, b).dm_dt,
-                            spec.noise, tau, rule, kinks=kinks)
-    e_z_dx = expect_noise_zweighted(lambda s: losses.moreau_bundle(loss, s, b).dm_dx,
-                                    spec.noise, tau, rule, kinks=kinks)
+
+    def envelope(s):
+        mb = losses.moreau_bundle(loss, s, b)
+        return np.array([mb.dm_dt, mb.dm_dx])
+
+    # E[dm_dt(S)] and E[Z dm_dx(S)] on one node set
+    e_dt, e_z_dx = expect_noise_sum(envelope, spec.noise, tau, spec.rule(),
+                                    kinks=losses.prox_kinks(loss, b), zweighted=(False, True))
     rk = np.sqrt(spec.kappa)
-    return np.array([
+    return _rows([
         0.5 * alpha - tau * rk - (alpha / mu ** 2) * e_dt,
         -mu * rk + e_z_dx,
         0.5 * mu + e_dt / mu,
-    ])
+    ], single)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +277,10 @@ def residual_m_cgmt(p, spec: ProblemSpec, order: int | None = None) -> np.ndarra
 
 @dataclass(frozen=True)
 class SignalMoments:
-    """Prior-averaged soft-threshold moments for S = theta*B + gamma*Z."""
+    """Prior-averaged soft-threshold moments for S = theta*B + gamma*Z.
+
+    Fields are floats for scalar arguments, else arrays of their shape.
+    """
 
     eta: float          # E[eta(S; thresh)]
     eta_sq: float       # E[eta(S; thresh)^2]
@@ -260,64 +289,62 @@ class SignalMoments:
     shift_sq: float     # E[(eta(S; thresh) - B)^2]
 
 
-def lasso_signal_moments(prior: DistributionSpec, theta: float, gamma: float,
-                         thresh: float) -> SignalMoments:
-    """Exact moments of the thresholded signal over every prior component."""
-    e1t = e2t = ebt = ept = 0.0
-    m2 = prior.second_moment()
-    for wt, m, s in prior.mixture():
-        if wt == 0.0:
-            continue
-        mean_s = theta * m
-        var = (theta * s) ** 2 + gamma * gamma
-        if var == 0.0:
-            val, der = losses.soft_threshold(mean_s, thresh)
-            e1, e2, es, ep = val, val * val, mean_s * val, der
-        else:
-            e1, e2, es, ep = soft_threshold_moments(mean_s, np.sqrt(var), thresh)
-        cov_bs = theta * s * s
-        if var > 0.0 and cov_bs != 0.0:
-            ebe = m * e1 + (cov_bs / var) * (es - mean_s * e1)
-        else:
-            ebe = m * e1
-        e1t += wt * e1
-        e2t += wt * e2
-        ebt += wt * ebe
-        ept += wt * ep
-    return SignalMoments(e1t, e2t, ebt, ept, e2t - 2.0 * ebt + m2)
+def lasso_signal_moments(prior: DistributionSpec, theta, gamma, thresh) -> SignalMoments:
+    """Exact moments of the thresholded signal over every prior component,
+    elementwise over broadcastable ``theta``, ``gamma`` and ``thresh``."""
+    wts, ms, ss = np.array([c for c in prior.mixture() if c[0] != 0.0]).T
+    # the prior components on a last axis, summed over in order at the end
+    theta, gamma, thresh = (np.asarray(v, dtype=float)[..., None] for v in (theta, gamma, thresh))
+    mean_s = theta * ms
+    var = (theta * ss) ** 2 + gamma * gamma
+    spread = var > 0.0
+    # entries with var = 0 are point evaluations; give them a dummy sd
+    safe_var = np.where(spread, var, 1.0)
+    e1, e2, es, ep = soft_threshold_moments(mean_s, np.sqrt(safe_var), thresh)
+    if not spread.all():
+        val, der = losses.soft_threshold(mean_s, thresh)
+        e1, e2 = np.where(spread, e1, val), np.where(spread, e2, val * val)
+        es, ep = np.where(spread, es, mean_s * val), np.where(spread, ep, der)
+    cov_bs = theta * ss * ss
+    ebe = np.where(spread & (cov_bs != 0.0),
+                   ms * e1 + (cov_bs / safe_var) * (es - mean_s * e1), ms * e1)
+    e1t, e2t, ebt, ept = ((wts * v).sum(axis=-1) for v in (e1, e2, ebe, ep))
+    fields = (e1t, e2t, ebt, ept, e2t - 2.0 * ebt + prior.second_moment())
+    return SignalMoments(*(float(f) if np.ndim(f) == 0 else f for f in fields))
 
 
-def residual_lasso_amp(p, spec: ProblemSpec, order: int | None = None) -> np.ndarray:
+def residual_lasso_amp(p, spec: ProblemSpec) -> np.ndarray:
     """AMP system for the l1 problem; gamma1 = 0 is admitted when lambda_star = 0."""
-    tau, gam = _unpack(p, ("tau1", "gamma1"))
+    (tau, gam), single = _unpack(p, ("tau1", "gamma1"))
     _require_positive(tau1=tau)
-    if gam < 0:
-        raise ValueError(f"gamma1 must be nonnegative, got {gam}")
+    if (gam < 0).any():
+        raise ValueError(f"gamma1 must be nonnegative, got {gam[gam < 0][0]}")
     thresh = spec.lambda_star + gam
     mom = lasso_signal_moments(spec.prior, 1.0, tau, thresh)
     k, s2 = spec.kappa, spec.sigma_star ** 2
-    return np.array([
+    return _rows([
         s2 + k * mom.shift_sq - tau * tau,
         k * thresh * mom.eta_deriv - gam,
-    ])
+    ], single)
 
 
-def residual_lasso_cgmt(p, spec: ProblemSpec, order: int | None = None) -> np.ndarray:
+def residual_lasso_cgmt(p, spec: ProblemSpec) -> np.ndarray:
     """Six-equation CGMT system; the regularizer prox is the soft threshold."""
-    alpha, sigma, tau2, theta, lam, gamma2 = _unpack(
+    (alpha, sigma, tau2, theta, lam, gamma2), single = _unpack(
         p, ("alpha", "sigma", "tau2", "theta", "lam", "gamma2"))
     _require_positive(sigma=sigma, tau2=tau2, gamma2=gamma2)
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    bad = ~((0.0 < theta) & (theta <= 1.0))
+    if bad.any():
+        raise ValueError(f"theta must lie in (0, 1], got {theta[bad][0]}")
+    if (lam < 0).any():
+        raise ValueError(f"lam must be nonnegative, got {lam[lam < 0][0]}")
     k = spec.kappa
     s2 = spec.sigma_star ** 2
     R = k * spec.prior.second_moment()   # kappa * E[B^2]
     mom = lasso_signal_moments(spec.prior, theta, gamma2, spec.lambda_star)
     st = sigma * tau2
     lp1 = lam + 1.0
-    return np.array([
+    return _rows([
         -alpha / st + theta - 1.0 + (alpha + lam) / lp1,
         -0.5 / tau2 + R * alpha ** 2 / (2.0 * sigma ** 2 * tau2)
         - 0.5 * tau2 * k * mom.eta_sq + sigma / lp1,
@@ -327,7 +354,7 @@ def residual_lasso_cgmt(p, spec: ProblemSpec, order: int | None = None) -> np.nd
         st * k * mom.eta_deriv - lam,
         sigma / (2.0 * tau2 ** 2) + R * alpha ** 2 / (2.0 * st * tau2)
         - 0.5 * sigma * k * mom.eta_sq,
-    ])
+    ], single)
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +370,21 @@ def logistic_loo_covariance(spec: ProblemSpec, alpha1: float, sigma: float) -> n
     ])
 
 
-def residual_logistic_loo(p, spec: ProblemSpec, order: int | None = None) -> np.ndarray:
-    alpha1, sigma, lam = _unpack(p, ("alpha1", "sigma", "lam1"))
-    _require_positive(alpha1=alpha1, lam1=lam)
-    if spec.r_star <= 0:
-        raise ConfigError("the logistic LOO system requires r_star > 0")
+def _row_by_row(point_residual, p, spec: ProblemSpec, names, positive):
+    # Each point of a logistic system integrates over its own tensor grid, so
+    # a stack shares no nodes; its rows are evaluated in turn, which keeps
+    # every grid temporary small (one 61x61 grid, not one per row).
+    cols, single = _unpack(p, names)
+    _require_positive(**{n: c for n, c in zip(names, cols) if n in positive})
+    out = np.array([point_residual(*map(float, row), spec) for row in zip(*cols)])
+    return out[0] if single else out
+
+
+def _logistic_loo_point(alpha1, sigma, lam, spec: ProblemSpec) -> np.ndarray:
     rho = LossSpec("logistic_rho")
-    rule = spec.rule(order)
-    q1, q2, wgt = bivariate_nodes(logistic_loo_covariance(spec, alpha1, sigma), rule)
+    q1, q2, wgt = bivariate_nodes(logistic_loo_covariance(spec, alpha1, sigma), spec.rule())
     rho_p_q1 = expit(q1)
-    pr = losses.prox(rho, q2, lam)
-    rp = expit(pr)
-    rpp = rp * (1.0 - rp)
+    _, rp, rpp = losses.prox(rho, q2, lam, with_derivs=True)
     k = spec.kappa
     e_sq = float(np.sum(wgt * 2.0 * rho_p_q1 * (lam * rp) ** 2))
     e_cross = float(np.sum(wgt * rho_p_q1 * q1 * lam * rp))
@@ -362,24 +392,30 @@ def residual_logistic_loo(p, spec: ProblemSpec, order: int | None = None) -> np.
     return np.array([e_sq / k ** 2 - alpha1 ** 2, e_cross, e_deriv - (1.0 - k)])
 
 
-def residual_logistic_cgmt(p, spec: ProblemSpec, order: int | None = None) -> np.ndarray:
-    alpha2, mu, lam = _unpack(p, ("alpha2", "mu", "lam2"))
-    _require_positive(alpha2=alpha2, lam2=lam)
+def residual_logistic_loo(p, spec: ProblemSpec) -> np.ndarray:
+    if spec.r_star <= 0:
+        raise ConfigError("the logistic LOO system requires r_star > 0")
+    return _row_by_row(_logistic_loo_point, p, spec, ("alpha1", "sigma", "lam1"),
+                       ("alpha1", "lam1"))
+
+
+def _logistic_cgmt_point(alpha2, mu, lam, spec: ProblemSpec) -> np.ndarray:
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     ell = LossSpec("logistic_ell")
-    rule = spec.rule(order)
-    Z, V, wgt = zv_nodes(spec.r_star, rule)
-    pr = losses.prox(ell, alpha2 * Z + mu * V, lam)
-    s = expit(pr)
-    ellp = s - 1.0
-    ellpp = s * (1.0 - s)
+    Z, V, wgt = zv_nodes(spec.r_star, spec.rule())
+    _, ellp, ellpp = losses.prox(ell, alpha2 * Z + mu * V, lam, with_derivs=True)
     k = spec.kappa
     return np.array([
         float(np.sum(wgt * V * ellp)),
         lam ** 2 * float(np.sum(wgt * ellp ** 2)) - alpha2 ** 2 * k,
         lam * float(np.sum(wgt * ellpp / (1.0 + lam * ellpp))) - k,
     ])
+
+
+def residual_logistic_cgmt(p, spec: ProblemSpec) -> np.ndarray:
+    return _row_by_row(_logistic_cgmt_point, p, spec, ("alpha2", "mu", "lam2"),
+                       ("alpha2", "lam2"))
 
 
 # ---------------------------------------------------------------------------

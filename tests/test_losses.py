@@ -130,6 +130,21 @@ def test_prox_logistic_large_scale_converges():
         assert np.max(np.abs(p - t * expit(-p) - x) / (1.0 + np.abs(p))) < 1e-14
 
 
+@pytest.mark.parametrize("kind", ["logistic_rho", "logistic_ell"])
+def test_prox_with_derivs_hands_back_the_sigmoid(kind):
+    # the derivatives come from the inner solve's last sigmoid, which is
+    # sigmoid(p) for rho and sigmoid(-p) for ell (solved by reflection)
+    loss = LossSpec(kind)
+    x = np.random.default_rng(4).normal(0.0, 5.0, (30, 30))
+    for t in (0.1, 1.0, 30.0):
+        p, d1, d2 = prox(loss, x, t, with_derivs=True)
+        assert np.array_equal(p, prox(loss, x, t))
+        s = expit(p) if kind == "logistic_rho" else expit(-p)
+        assert np.array_equal(d1, s if kind == "logistic_rho" else -s)
+        assert np.array_equal(d2, s * (1.0 - s))
+        assert np.allclose(d1, loss_deriv(loss, p), rtol=0.0, atol=1e-15)
+
+
 def test_prox_rejects_bad_scale():
     with pytest.raises(ValueError):
         prox(LossSpec("quadratic"), 1.0, 0.0)

@@ -226,6 +226,23 @@ def test_logistic_cgmt_second_equation_sign():
         assert r[1] + p["alpha2"] ** 2 * spec.kappa > 0.0
 
 
+def test_logistic_residuals_reuse_the_prox_sigmoid(monkeypatch):
+    # the prox hands back sigmoid(prox), so neither residual evaluates a
+    # sigmoid on the prox grid; logistic_loo keeps its one on the q1 grid
+    import hdse.systems
+
+    calls = []
+    real = hdse.systems.expit
+    monkeypatch.setattr(hdse.systems, "expit", lambda z: calls.append(np.shape(z)) or real(z))
+    spec = ProblemSpec("logistic", kappa=0.2, r_star=1.0)
+    n = spec.rule().order
+    residual_logistic_loo(np.array([2.0, 1.1, 0.4]), spec)
+    assert calls == [(n, n)]
+    calls.clear()
+    residual_logistic_cgmt(np.array([1.0, 1.1, 0.4]), spec)
+    assert calls == []
+
+
 def test_logistic_loo_requires_positive_r_star():
     spec = ProblemSpec("logistic", kappa=0.2, prior=point_mass(0.0), r_star=0.0)
     with pytest.raises(ConfigError):
