@@ -240,19 +240,6 @@ def _scalar_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def expect_gauss_1d(g, mean, sd, rule: QuadratureRule, kinks=()):
-    """E[g(X)] for X ~ N(mean, sd^2), one value per entry of ``mean``/``sd``.
-
-    With ``kinks`` (abscissae where g is not smooth) inside the integration
-    window, the Gaussian weight is folded into the integrand and each smooth
-    segment is handled by a Gauss-Legendre panel of the same order.  ``g`` is
-    called once, on every node of every entry; it may return several values
-    stacked on leading axes, which are integrated separately.
-    """
-    x, w, dens, half = _gauss_nodes(mean, sd, rule, kinks)
-    return _scalar_or_array(_gauss_sum(np.asarray(g(x)), w, dens, half))
-
-
 def _noise_components(noise: DistributionSpec):
     if noise.kind == "bernoulli_gaussian":
         raise ConfigError("noise law must be point_mass, two_point, or gaussian")

@@ -30,7 +30,7 @@ from .errors import (
 # expect_noise_sum is not called here; the benchmark tracer wraps it under
 # this module's name, so the import stays.
 from .expectations import QuadratureRule, expect_noise_sum, zv_nodes  # noqa: F401
-from .systems import ProblemSpec, SeSolution, SystemDef, system_for
+from .systems import POSITIVITY_FLOOR, ProblemSpec, SeSolution, SystemDef, system_for
 from .transforms import CANONICAL, map_params
 
 DAMPING_FLOOR = 1.0 / 64.0
@@ -46,8 +46,6 @@ class SolverOptions:
     tol: float = 1e-9
     max_iter: int = 200
     fd_step: float = 1e-6
-    damping: float = 1.0
-    positivity_floor: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
@@ -56,10 +54,6 @@ class SolverOptions:
             raise ConfigError("max_iter must be positive")
         if self.fd_step <= 0:
             raise ConfigError("fd_step must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ConfigError("damping must lie in (0, 1]")
-        if self.positivity_floor <= 0:
-            raise ConfigError("positivity_floor must be positive")
 
 
 def evaluate_jacobian_fd(residual, x, fd_step: float) -> np.ndarray:
@@ -84,13 +78,13 @@ def evaluate_jacobian_fd(residual, x, fd_step: float) -> np.ndarray:
     return ((r[:n] - r[n:]) / (2.0 * h)[:, None]).T
 
 
-def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None, guard=None):
+def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None):
     """Damped Newton with monotone residual max-norm.
 
-    ``clamp`` maps a candidate iterate back into the feasible region,
-    ``guard`` may inspect each accepted iterate and raise.  Returns
-    ``(x, info)`` with iteration count, final residual norm, and a condition
-    estimate of the last Jacobian.
+    ``clamp`` maps a candidate iterate back into the feasible region.  Each
+    line search tries the full step first, halving it down to
+    ``DAMPING_FLOOR``.  Returns ``(x, info)`` with iteration count, final
+    residual norm, and a condition estimate of the last Jacobian.
     """
     opts = opts or SolverOptions()
     x = np.asarray(x0, dtype=float).copy()
@@ -114,7 +108,7 @@ def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None, gu
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
 
-        step = opts.damping
+        step = 1.0
         accepted = False
         while step >= DAMPING_FLOOR:
             cand = x + step * direction
@@ -131,8 +125,6 @@ def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None, gu
             raise NonConvergence(
                 f"stalled at residual {norm:.3e} (damping floor reached)",
                 best=x, residual_norm=norm, iterations=it)
-        if guard is not None:
-            guard(x)
     if norm <= opts.tol:
         return x, {"iterations": opts.max_iter, "residual_norm": norm, "jac_cond": jac_cond}
     raise NonConvergence(
@@ -144,7 +136,7 @@ def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None, gu
 # Auto-initialization
 
 
-def _grid_search_logistic(sdef: SystemDef, spec: ProblemSpec, opts: SolverOptions):
+def _grid_search_logistic(sdef: SystemDef, spec: ProblemSpec):
     # alpha1 starts at 1 + kappa; sigma is scanned coarsely on logistic_loo
     # coordinates, each candidate mapped to the system being solved.
     lam0 = spec.kappa / (1.0 - spec.kappa)
@@ -176,21 +168,21 @@ def auto_init(system: str, spec: ProblemSpec, opts: SolverOptions | None = None)
     sdef = system_for(system)
     k = spec.kappa
     if sdef.model == "logistic":
-        return _grid_search_logistic(sdef, spec, opts)
+        return _grid_search_logistic(sdef, spec)
     if sdef.model == "m_estimator":
         tau0 = spec.sigma_star * np.sqrt(max(k, 0.1) / (1.0 - k))
-        start = {"tau1": max(tau0, opts.positivity_floor), "lam1": k / (1.0 - k)}
+        start = {"tau1": max(tau0, POSITIVITY_FLOOR), "lam1": k / (1.0 - k)}
     elif system == "lasso_cgmt":
         start = solve_system("lasso_amp", spec, opts=opts).params
     else:
-        tau0 = max(spec.sigma_star / np.sqrt(max(1.0 - k, 0.1)), opts.positivity_floor)
+        tau0 = max(spec.sigma_star / np.sqrt(max(1.0 - k, 0.1)), POSITIVITY_FLOOR)
 
         def row(g):
             return sdef.residual([tau0, g], spec)[1]
 
         # Past kappa = 1 the root keeps gamma1 away from 0, where the second
         # row vanishes trivially at lambda_star = 0; start at its gamma-root.
-        lo, hi = opts.positivity_floor, tau0
+        lo, hi = POSITIVITY_FLOOR, tau0
         gamma0 = spec.lambda_star
         if k >= 1.0 and row(lo) > 0.0:
             from scipy.optimize import brentq  # deferred like minimize_scalar
@@ -204,9 +196,9 @@ def auto_init(system: str, spec: ProblemSpec, opts: SolverOptions | None = None)
     return np.array([start[n] for n in sdef.params])
 
 
-def _clamp_for(sdef: SystemDef, floor: float):
+def _clamp_for(sdef: SystemDef):
     # a lower bound per column, so a stack of points is clamped row by row
-    lower = np.array([floor if n in sdef.positive else 0.0 if n in sdef.nonnegative
+    lower = np.array([POSITIVITY_FLOOR if n in sdef.positive else 0.0 if n in sdef.nonnegative
                       else -np.inf for n in sdef.params])
 
     def clamp(x):
@@ -280,7 +272,7 @@ def solve_system(system: str, spec: ProblemSpec, x0="auto",
     opts = opts or SolverOptions()
     require_existence(system, spec)
     sdef = system_for(system)
-    clamp = _clamp_for(sdef, opts.positivity_floor)
+    clamp = _clamp_for(sdef)
 
     def newton_from(start, at_spec):
         def residual(x):

@@ -24,6 +24,11 @@ The M-estimation systems push the quadrature nodes of all rows through the
 loss in one pass, and the lasso moments are elementwise; a logistic point
 integrates over a tensor grid of its own, so those residuals take the rows
 in turn.
+
+A system's parameter names and domain are declared once, in its ``SYSTEMS``
+entry: ``_unpack`` checks each column against its ``positive`` (> 0 and
+finite) and ``nonnegative`` (not < 0) sets, and the solver clamps iterates
+into them at ``POSITIVITY_FLOOR``.
 """
 
 from __future__ import annotations
@@ -156,8 +161,8 @@ class ProblemSpec:
             return KINKED_QUAD_ORDER
         return DEFAULT_QUAD_ORDER
 
-    def rule(self, order: int | None = None) -> QuadratureRule:
-        return gauss_hermite(order if order is not None else self.default_quad_order())
+    def rule(self) -> QuadratureRule:
+        return gauss_hermite(self.default_quad_order())
 
     def with_kappa(self, kappa: float) -> "ProblemSpec":
         return replace(self, kappa=kappa)
@@ -182,8 +187,11 @@ class SeSolution:
         return np.array([self.params[name] for name in SYSTEMS[self.system].params])
 
 
-def _unpack(p, names):
-    """Parameter columns of a stack, and whether ``p`` was a single point."""
+def _unpack(p, system: str):
+    """Parameter columns of a stack, each checked against the domain of
+    ``SYSTEMS[system]``, and whether ``p`` was a single point."""
+    sdef = SYSTEMS[system]
+    names = sdef.params
     if isinstance(p, dict):
         missing = [n for n in names if n not in p]
         if missing:
@@ -195,19 +203,20 @@ def _unpack(p, names):
         arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[1] != len(names):
         raise ConfigError(f"expected {len(names)} parameters {names}, got {arr.shape[-1]}")
-    return list(arr.T), single
+    cols = list(arr.T)
+    for name, col in zip(names, cols):
+        if name in sdef.positive:
+            if not (col.min() > 0 and col.max() < np.inf):  # a NaN fails the first test
+                bad = col[~((col > 0) & (col < np.inf))][0]
+                raise ValueError(f"{name} must be positive, got {bad}")
+        elif name in sdef.nonnegative and (col < 0).any():
+            raise ValueError(f"{name} must be nonnegative, got {col[col < 0][0]}")
+    return cols, single
 
 
 def _rows(equations, single):
     out = np.array(equations).T
     return out[0] if single else out
-
-
-def _require_positive(**kv):
-    for name, value in kv.items():
-        if not (value.min() > 0 and value.max() < np.inf):  # a NaN fails the first test
-            bad = value[~((value > 0) & (value < np.inf))][0]
-            raise ValueError(f"{name} must be positive, got {bad}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +225,7 @@ def _require_positive(**kv):
 
 def residual_m_loo(p, spec: ProblemSpec) -> np.ndarray:
     """LOO system: prox-derivative equation and residual-variance equation."""
-    (tau, lam), single = _unpack(p, ("tau1", "lam1"))
-    _require_positive(tau1=tau, lam1=lam)
+    (tau, lam), single = _unpack(p, "m_loo")
     loss = spec.loss
     e_pd, e_sq = expect_noise_sum(
         lambda s: np.array([losses.prox_deriv(loss, s, lam),
@@ -229,8 +237,7 @@ def residual_m_loo(p, spec: ProblemSpec) -> np.ndarray:
 
 def residual_m_amp(p, spec: ProblemSpec) -> np.ndarray:
     """AMP system, written on the Moreau envelope derivatives."""
-    (tau, lam), single = _unpack(p, ("tau2", "lam2"))
-    _require_positive(tau2=tau, lam2=lam)
+    (tau, lam), single = _unpack(p, "m_amp")
     loss = spec.loss
 
     def envelope(s):
@@ -251,8 +258,7 @@ def residual_m_cgmt(p, spec: ProblemSpec) -> np.ndarray:
     identity remains an independent cross-check of this system against the
     AMP one.
     """
-    (tau, alpha, mu), single = _unpack(p, ("tau3", "alpha", "mu"))
-    _require_positive(tau3=tau, alpha=alpha, mu=mu)
+    (tau, alpha, mu), single = _unpack(p, "m_cgmt")
     loss = spec.loss
     b = alpha / mu
 
@@ -315,10 +321,7 @@ def lasso_signal_moments(prior: DistributionSpec, theta, gamma, thresh) -> Signa
 
 def residual_lasso_amp(p, spec: ProblemSpec) -> np.ndarray:
     """AMP system for the l1 problem; gamma1 = 0 is admitted when lambda_star = 0."""
-    (tau, gam), single = _unpack(p, ("tau1", "gamma1"))
-    _require_positive(tau1=tau)
-    if (gam < 0).any():
-        raise ValueError(f"gamma1 must be nonnegative, got {gam[gam < 0][0]}")
+    (tau, gam), single = _unpack(p, "lasso_amp")
     thresh = spec.lambda_star + gam
     mom = lasso_signal_moments(spec.prior, 1.0, tau, thresh)
     k, s2 = spec.kappa, spec.sigma_star ** 2
@@ -330,14 +333,9 @@ def residual_lasso_amp(p, spec: ProblemSpec) -> np.ndarray:
 
 def residual_lasso_cgmt(p, spec: ProblemSpec) -> np.ndarray:
     """Six-equation CGMT system; the regularizer prox is the soft threshold."""
-    (alpha, sigma, tau2, theta, lam, gamma2), single = _unpack(
-        p, ("alpha", "sigma", "tau2", "theta", "lam", "gamma2"))
-    _require_positive(sigma=sigma, tau2=tau2, gamma2=gamma2)
-    bad = ~((0.0 < theta) & (theta <= 1.0))
-    if bad.any():
-        raise ValueError(f"theta must lie in (0, 1], got {theta[bad][0]}")
-    if (lam < 0).any():
-        raise ValueError(f"lam must be nonnegative, got {lam[lam < 0][0]}")
+    (alpha, sigma, tau2, theta, lam, gamma2), single = _unpack(p, "lasso_cgmt")
+    if (theta > 1.0).any():  # the one bound SYSTEMS does not declare
+        raise ValueError(f"theta must lie in (0, 1], got {theta[theta > 1.0][0]}")
     k = spec.kappa
     s2 = spec.sigma_star ** 2
     R = k * spec.prior.second_moment()   # kappa * E[B^2]
@@ -370,12 +368,11 @@ def logistic_loo_covariance(spec: ProblemSpec, alpha1: float, sigma: float) -> n
     ])
 
 
-def _row_by_row(point_residual, p, spec: ProblemSpec, names, positive):
+def _row_by_row(point_residual, system: str, p, spec: ProblemSpec):
     # Each point of a logistic system integrates over its own tensor grid, so
     # a stack shares no nodes; its rows are evaluated in turn, which keeps
     # every grid temporary small (one 61x61 grid, not one per row).
-    cols, single = _unpack(p, names)
-    _require_positive(**{n: c for n, c in zip(names, cols) if n in positive})
+    cols, single = _unpack(p, system)
     out = np.array([point_residual(*map(float, row), spec) for row in zip(*cols)])
     return out[0] if single else out
 
@@ -395,13 +392,10 @@ def _logistic_loo_point(alpha1, sigma, lam, spec: ProblemSpec) -> np.ndarray:
 def residual_logistic_loo(p, spec: ProblemSpec) -> np.ndarray:
     if spec.r_star <= 0:
         raise ConfigError("the logistic LOO system requires r_star > 0")
-    return _row_by_row(_logistic_loo_point, p, spec, ("alpha1", "sigma", "lam1"),
-                       ("alpha1", "lam1"))
+    return _row_by_row(_logistic_loo_point, "logistic_loo", p, spec)
 
 
 def _logistic_cgmt_point(alpha2, mu, lam, spec: ProblemSpec) -> np.ndarray:
-    if mu < 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
     ell = LossSpec("logistic_ell")
     Z, V, wgt = zv_nodes(spec.r_star, spec.rule())
     _, ellp, ellpp = losses.prox(ell, alpha2 * Z + mu * V, lam, with_derivs=True)
@@ -414,8 +408,7 @@ def _logistic_cgmt_point(alpha2, mu, lam, spec: ProblemSpec) -> np.ndarray:
 
 
 def residual_logistic_cgmt(p, spec: ProblemSpec) -> np.ndarray:
-    return _row_by_row(_logistic_cgmt_point, p, spec, ("alpha2", "mu", "lam2"),
-                       ("alpha2", "lam2"))
+    return _row_by_row(_logistic_cgmt_point, "logistic_cgmt", p, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +421,13 @@ class SystemDef:
     model: str
     params: tuple[str, ...]
     residual: object
-    # parameters clamped to stay strictly positive during solves
+    # parameters that must be > 0 and finite; solves clamp them at POSITIVITY_FLOOR
     positive: tuple[str, ...]
-    # parameters clamped to stay nonnegative
+    # parameters that must not be < 0; solves clamp them at 0
     nonnegative: tuple[str, ...] = ()
 
+
+POSITIVITY_FLOOR = 1e-8
 
 SYSTEMS: dict[str, SystemDef] = {
     d.name: d for d in (

@@ -86,6 +86,43 @@ def test_solve_se_nonexistence_exit_code(tmp_path):
     assert rows[0]["status"] == "likely_non_existence"
 
 
+def test_model_mismatch_exits_with_config_error(tmp_path):
+    out = tmp_path / "r.csv"
+    lasso_cfg = write_config(tmp_path, LASSO_CONFIG, "lasso.json")
+    assert main(["solve-se", "--system", "m-loo", "--config", lasso_cfg,
+                 "--out", str(out)]) == 1
+    m_cfg = write_config(tmp_path, QUAD_CONFIG, "m.json")
+    assert main(["verify-equivalence", "--pair", "lasso-amp:lasso-cgmt", "--config", m_cfg,
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+# The parameter columns are derived from the SYSTEMS declarations; their order
+# is part of the CSV contract, so the headers are pinned here as literals.
+PARAMS_IN_ORDER = ("tau1", "lam1", "tau2", "lam2", "tau3", "alpha", "mu",
+                   "gamma1", "sigma", "theta", "lam", "gamma2", "alpha1", "alpha2")
+PROVENANCE = ("artifact_version", "config_hash", "quad_order")
+
+
+def test_csv_headers_keep_their_columns_in_order(tmp_path):
+    cfg = write_config(tmp_path, QUAD_CONFIG)
+    solve, verify = str(tmp_path / "s.csv"), str(tmp_path / "v.csv")
+    assert main(["solve-se", "--system", "m-loo", "--config", cfg, "--out", solve]) == 0
+    assert main(["verify-equivalence", "--config", cfg, "--out", verify,
+                 "--pair", "m-loo:m-amp", "--kappa-grid", "0.3"]) == 0
+    with open(solve, newline="") as fh:
+        assert tuple(next(csv.reader(fh))) == (
+            "experiment_id", "system", "model", "kappa", "sigma_star", "r_star",
+            "lambda_star", *PARAMS_IN_ORDER, "residual_norm", "iterations",
+            "mse_nominal", "mse_reduction_checked", "status", "wall_time_ms", *PROVENANCE)
+    with open(verify, newline="") as fh:
+        assert tuple(next(csv.reader(fh))) == (
+            "experiment_id", "source_system", "target_system", "kappa",
+            "sigma_star", "r_star", "lambda_star", *PARAMS_IN_ORDER,
+            "source_residual_norm", "target_residual_norm", "tolerance",
+            "passed", "mse_source", "mse_target", "status", "wall_time_ms", *PROVENANCE)
+
+
 def test_config_schema_rejections(tmp_path):
     bad = dict(QUAD_CONFIG, mystery_key=1)
     path = write_config(tmp_path, bad)

@@ -9,7 +9,6 @@ from hdse.errors import ConfigError, NumericError
 from hdse.expectations import (
     bernoulli_gaussian,
     bivariate_nodes,
-    expect_gauss_1d,
     expect_noise_sum,
     expect_noise_zweighted,
     gauss_hermite,
@@ -115,10 +114,10 @@ def test_kinked_integrand_uses_panels():
     g = lambda x: np.clip(x, -a, a) ** 2
     ref = quad(lambda x: g(x) * np.exp(-0.5 * (x / s) ** 2) / (np.sqrt(2 * np.pi) * s),
                -15, 15, points=[-a, a], limit=200, epsabs=1e-14)[0]
-    val = expect_gauss_1d(g, 0.0, s, RULE, kinks=(-a, a))
+    val = expect_noise_sum(g, point_mass(0.0), s, RULE, kinks=(-a, a))
     assert val == pytest.approx(ref, abs=1e-12)
     # doubling the order moves the panel value by far less than 1e-9
-    val2 = expect_gauss_1d(g, 0.0, s, gauss_hermite(122), kinks=(-a, a))
+    val2 = expect_noise_sum(g, point_mass(0.0), s, gauss_hermite(122), kinks=(-a, a))
     assert abs(val - val2) < 1e-12
 
 
@@ -232,10 +231,12 @@ def test_soft_threshold_moments_against_quadrature(mean, sd, thresh):
 
     rule = gauss_hermite(61)
     kinks = (-thresh, thresh)
-    e1_q = expect_gauss_1d(lambda s: soft_threshold(s, thresh)[0], mean, sd, rule, kinks)
-    e2_q = expect_gauss_1d(lambda s: soft_threshold(s, thresh)[0] ** 2, mean, sd, rule, kinks)
-    es_q = expect_gauss_1d(lambda s: s * soft_threshold(s, thresh)[0], mean, sd, rule, kinks)
-    ep_q = expect_gauss_1d(lambda s: soft_threshold(s, thresh)[1], mean, sd, rule, kinks)
+    # E[g(mean + sd Z)] is the noise expectation with the noise a point mass at mean
+    w = point_mass(mean)
+    e1_q = expect_noise_sum(lambda s: soft_threshold(s, thresh)[0], w, sd, rule, kinks)
+    e2_q = expect_noise_sum(lambda s: soft_threshold(s, thresh)[0] ** 2, w, sd, rule, kinks)
+    es_q = expect_noise_sum(lambda s: s * soft_threshold(s, thresh)[0], w, sd, rule, kinks)
+    ep_q = expect_noise_sum(lambda s: soft_threshold(s, thresh)[1], w, sd, rule, kinks)
     e1, e2, es, ep = soft_threshold_moments(mean, sd, thresh)
     assert e1 == pytest.approx(e1_q, abs=1e-11)
     assert e2 == pytest.approx(e2_q, abs=1e-11)

@@ -21,10 +21,10 @@ from hdse.expectations import (
     two_point,
 )
 from hdse.losses import LossSpec
-from hdse.solving import SolverOptions, evaluate_jacobian_fd, newton_solve
+from hdse.solving import evaluate_jacobian_fd, newton_solve
+from hdse.systems import POSITIVITY_FLOOR as FLOOR
 from hdse.systems import SYSTEMS, ProblemSpec
 
-FLOOR = SolverOptions().positivity_floor
 M_LOSSES = (LossSpec("quadratic"), LossSpec("huber", delta=1.345), LossSpec("absolute"))
 M_NOISES = (gaussian(0.0, 1.0), two_point(1.0, 0.5), point_mass(0.3))
 LASSO_PRIORS = (bernoulli_gaussian(0.1, np.sqrt(10.0)), two_point(1.0, 0.5), gaussian(0.0, 1.0))
@@ -80,7 +80,7 @@ def _rel_close(a, b, rel):
 @pytest.mark.parametrize("name,spec,rows", CATALOG, ids=_ids())
 def test_stacked_rows_equal_single_calls(name, spec, rows):
     sdef = SYSTEMS[name]
-    clamp = solving._clamp_for(sdef, FLOOR)
+    clamp = solving._clamp_for(sdef)
     stack = clamp(np.array(rows, dtype=float))
     assert (stack == FLOOR).any() or (stack == 0.0).any()
     out = sdef.residual(stack, spec)
@@ -188,7 +188,7 @@ def _jacobian_by_columns(residual, x, fd_step):
 @pytest.mark.parametrize("name,spec,rows", CATALOG, ids=_ids())
 def test_stacked_jacobian_matches_per_column_oracle(name, spec, rows):
     sdef = SYSTEMS[name]
-    clamp = solving._clamp_for(sdef, FLOOR)
+    clamp = solving._clamp_for(sdef)
     calls = []
 
     def residual(v):

@@ -1,4 +1,6 @@
-"""Residual systems: closed-form roots, cross-identities, MSE extraction."""
+"""Residual systems: closed-form roots, cross-identities, domains, MSE extraction."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hdse.expectations import (
 )
 from hdse.losses import LossSpec, moreau_bundle, prox_kinks
 from hdse.systems import (
+    SYSTEMS,
     ProblemSpec,
     SeSolution,
     lasso_signal_moments,
@@ -65,7 +68,7 @@ def test_quad_order_defaults():
     assert m_spec(0.5, loss=LossSpec("absolute")).default_quad_order() == 121
     lasso = ProblemSpec("lasso", kappa=0.5, prior=point_mass(0.0), sigma_star=1.0)
     assert lasso.default_quad_order() == 121
-    assert m_spec(0.5, loss=QUAD).rule(31).order == 31
+    assert dataclasses.replace(m_spec(0.5, loss=QUAD), quad_order=31).rule().order == 31
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +250,45 @@ def test_logistic_loo_requires_positive_r_star():
     spec = ProblemSpec("logistic", kappa=0.2, prior=point_mass(0.0), r_star=0.0)
     with pytest.raises(ConfigError):
         residual_logistic_loo({"alpha1": 1.0, "sigma": 1.0, "lam1": 0.5}, spec)
+
+
+# ---------------------------------------------------------------------------
+# Declared domains: each residual checks the sets its SYSTEMS entry declares
+
+
+# one spec and one point inside the declared domain, per system
+DOMAIN_CASES = {
+    "m_loo": (m_spec(0.35, loss=HUBER), [1.2, 0.6]),
+    "m_amp": (m_spec(0.35, loss=HUBER), [1.2, 0.6]),
+    "m_cgmt": (m_spec(0.35, loss=HUBER), [1.2, 0.5, 0.9]),
+    "lasso_amp": (lasso_spec(0.6), [0.9, 0.2]),
+    "lasso_cgmt": (lasso_spec(0.6), [0.3, 0.8, 1.1, 0.7, 0.4, 0.6]),
+    "logistic_loo": (ProblemSpec("logistic", kappa=0.2, r_star=1.0), [2.0, 1.1, 0.4]),
+    "logistic_cgmt": (ProblemSpec("logistic", kappa=0.2, r_star=1.0), [1.0, 1.1, 0.4]),
+}
+
+
+def _domain_violations():
+    for name, sdef in SYSTEMS.items():
+        for param in sdef.positive:
+            for value in (0.0, -1.0, np.nan, np.inf):
+                yield name, param, value, "positive"
+        for param in sdef.nonnegative:
+            yield name, param, -1.0, "nonnegative"
+
+
+@pytest.mark.parametrize("name,param,value,kind", list(_domain_violations()))
+def test_residual_rejects_points_outside_the_declared_domain(name, param, value, kind):
+    spec, point = DOMAIN_CASES[name]
+    sdef = SYSTEMS[name]
+    assert np.isfinite(sdef.residual(np.array([point, point]), spec)).all()
+    bad = list(point)
+    bad[sdef.params.index(param)] = value
+    match = f"^{param} must be {kind}, got"
+    with pytest.raises(ValueError, match=match):
+        sdef.residual(np.array(bad), spec)
+    with pytest.raises(ValueError, match=match):
+        sdef.residual(np.array([point, bad]), spec)
 
 
 # ---------------------------------------------------------------------------
