@@ -3,13 +3,9 @@
 Each system is a small set of nonlinear scalar equations whose root
 characterizes the asymptotic behavior of one estimator:
 
-    m_loo          {tau1, lam1}                       M-estimation
-    m_amp          {tau2, lam2}                       M-estimation
-    m_cgmt         {tau3, alpha, mu}                  M-estimation
-    lasso_amp      {tau1, gamma1}                     l1-regularized least squares
-    lasso_cgmt     {alpha, sigma, tau2, theta, lam, gamma2}
-    logistic_loo   {alpha1, sigma, lam1}              logistic maximum likelihood
-    logistic_cgmt  {alpha2, mu, lam2}
+    m_loo, m_amp, m_cgmt            M-estimation
+    lasso_amp, lasso_cgmt           l1-regularized least squares
+    logistic_loo, logistic_cgmt     logistic maximum likelihood
 
 Residuals are written as f(p) = 0 and evaluated with deterministic
 quadrature, so a given (params, spec) pair always produces bitwise-identical

@@ -158,6 +158,9 @@ def verify_equivalence(source: str, target: str, spec: ProblemSpec,
     from .solving import SolverOptions, require_existence, solve_system
 
     opts = opts or SolverOptions()
+    if system_for(source).model != spec.model:
+        # a source of another family is a ConfigError, whatever the target
+        require_existence(source, spec)
     # a target without a root raises LikelyNonExistence, not a map failure
     require_existence(target, spec)
     sol = solve_system(source, spec, opts=opts)

@@ -94,6 +94,11 @@ def test_model_mismatch_exits_with_config_error(tmp_path):
     m_cfg = write_config(tmp_path, QUAD_CONFIG, "m.json")
     assert main(["verify-equivalence", "--pair", "lasso-amp:lasso-cgmt", "--config", m_cfg,
                  "--out", str(out)]) == 1
+    # a source of another family fails even where the target has no root
+    logistic_cfg = write_config(tmp_path, {"model": "logistic", "kappa": 0.9, "r_star": 5.0},
+                                "logistic.json")
+    assert main(["verify-equivalence", "--pair", "m-loo:logistic-loo", "--config", logistic_cfg,
+                 "--out", str(out), "--kappa-grid", "0.9"]) == 1
     assert not out.exists()
 
 

@@ -226,6 +226,7 @@ def test_accepted_steps_never_increase_residual():
 
     x0 = auto_init("m_loo", spec, SolverOptions()) * 4.0
     norms = []
+    converged = False
     for max_iter in range(1, SolverOptions().max_iter + 1):
         try:
             _, info = newton_solve(residual, x0, SolverOptions(max_iter=max_iter),
@@ -234,6 +235,8 @@ def test_accepted_steps_never_increase_residual():
             norms.append(exc.residual_norm)
         else:
             norms.append(info["residual_norm"])
+            converged = True
             break
+    assert converged
     assert len(norms) >= 2
     assert all(b < a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
