@@ -99,8 +99,12 @@ def fit_m_estimator(data: Dataset, tol: float = 1e-8, max_iter: int = 100) -> np
     Every loss, the quadratic included, must pass the final gradient
     certificate.  The Hessian uses the loss curvature with a 1e-6 identity
     floor so the piecewise-quadratic huber stays well posed across its knee.
-    The absolute loss has no curvature anywhere and its optimum does not
-    satisfy a gradient certificate, so it is not fittable here.
+    It is the start's Gram matrix X'X downdated by the rows D whose curvature
+    is below 1 (for huber, the rows past the knee; none for the quadratic)
+    and is solved by Cholesky, so a step costs O(|D| d^2 + d^3/3) and its
+    only design-sized scratch is the |D| x d block of those rows.  The
+    absolute loss has no curvature anywhere and its optimum does not satisfy
+    a gradient certificate, so it is not fittable here.
     """
     from scipy.linalg import cho_factor, cho_solve
 
@@ -108,9 +112,9 @@ def fit_m_estimator(data: Dataset, tol: float = 1e-8, max_iter: int = 100) -> np
     if loss.kind == "absolute":
         raise ConfigError("absolute-loss fitting is not supported (no gradient certificate)")
     X, y = data.design, data.response
-    # the d*d factor is a temporary here, freed before the Newton loop
-    beta = cho_solve(cho_factor(X.T @ X, overwrite_a=True, check_finite=False), X.T @ y,
-                     check_finite=False)
+    gram = X.T @ X
+    # cho_factor factors a copy, so gram stays X'X for the Newton Hessians
+    beta = cho_solve(cho_factor(gram, check_finite=False), X.T @ y, check_finite=False)
 
     def objective(b):
         return float(np.sum(losses.eval_loss(loss, y - X @ b)))
@@ -118,12 +122,12 @@ def fit_m_estimator(data: Dataset, tol: float = 1e-8, max_iter: int = 100) -> np
     obj = objective(beta)
     for _ in range(max_iter):
         r = y - X @ beta
-        grad = -X.T @ losses.loss_deriv(loss, r)
+        grad = -(X.T @ losses.loss_deriv(loss, r))
         if float(np.max(np.abs(grad))) < tol:
             return beta
-        # a temporary Hessian is freed before the next iteration forms another
-        direction = np.linalg.solve(
-            _newton_hessian(X, losses.loss_curvature(loss, r), 1e-6), -grad)
+        hess = _downdated_hessian(gram, X, losses.loss_curvature(loss, r), 1e-6)
+        direction = cho_solve(cho_factor(hess, overwrite_a=True, check_finite=False), -grad,
+                              check_finite=False)
         step = 1.0
         while step > 1e-8:
             cand = beta + step * direction
@@ -140,6 +144,29 @@ def fit_m_estimator(data: Dataset, tol: float = 1e-8, max_iter: int = 100) -> np
         raise NonConvergence(f"m-estimator gradient stalled at {grad_norm:.3e}",
                              best=beta, residual_norm=grad_norm, iterations=max_iter)
     return beta
+
+
+def _downdated_hessian(gram: np.ndarray, X: np.ndarray, w: np.ndarray,
+                       floor: float) -> np.ndarray:
+    """Upper triangle of X' diag(w) X + floor * I for w in [0, 1], given gram = X'X.
+
+    X' diag(w) X = X'X - X_D' diag(1 - w_D) X_D over D = {i : w_i < 1}, so
+    only the rows in D are read.  The result is a Fortran-order copy of gram
+    downdated in place by syrk, which writes the upper triangle only; the
+    strict lower triangle keeps gram's values, and cho_factor(lower=False)
+    never reads it.
+    """
+    from scipy.linalg.blas import dsyrk
+
+    hess = np.array(gram, order="F")
+    below = w < 1.0
+    if below.any():
+        xd = X[below]
+        xd *= np.sqrt(1.0 - w[below])[:, None]
+        # xd.T is Fortran-contiguous, so syrk reads it without a copy
+        dsyrk(-1.0, xd.T, beta=1.0, c=hess, overwrite_c=1)
+    hess[np.diag_indices_from(hess)] += floor
+    return hess
 
 
 def _newton_hessian(X: np.ndarray, w: np.ndarray, floor: float) -> np.ndarray:
@@ -162,8 +189,10 @@ def fit_lasso_cd(data: Dataset, lambda_star: float, tol: float = 1e-10,
     keeps corr = X'(y - X beta) and, when coordinate j moves by delta,
     updates it with -delta times row j of the Gram matrix X'X, so a step
     touches d numbers instead of n.  The iterates are those of the residual
-    form up to rounding.  The Gram matrix holds d*d floats: at most the size
-    of X when kappa <= 1 and kappa times it when kappa > 1.
+    form up to rounding.  A coordinate step reads corr[j] as a Python float
+    and daxpy updates corr in place, so the sweep makes no numpy scalar or
+    row view per coordinate.  The Gram matrix holds d*d floats: at most the
+    size of X when kappa <= 1 and kappa times it when kappa > 1.
     """
     from scipy.linalg.blas import daxpy
 
@@ -172,20 +201,19 @@ def fit_lasso_cd(data: Dataset, lambda_star: float, tol: float = 1e-10,
     X, y = data.design, data.response
     gram = X.T @ X
     corr = X.T @ y
-    col_sq = gram.diagonal().tolist()
+    # (j, X_j'X_j, gram row j) per nonzero column; row j is column j of the
+    # symmetric gram, but contiguous
+    coords = [(j, cj, gram[j]) for j, cj in enumerate(gram.diagonal().tolist()) if cj != 0.0]
     beta = [0.0] * data.d
     for _ in range(max_sweeps):
         max_change = 0.0
-        for j, cj in enumerate(col_sq):
-            if cj == 0.0:
-                continue
+        for j, cj, row in coords:
             old = beta[j]
-            rho = corr[j] + cj * old
+            rho = corr.item(j) + cj * old
             new = math.copysign(max(abs(rho) - lambda_star, 0.0), rho) / cj
             if new != old:
                 delta = new - old
-                # row j is column j of the symmetric gram, but contiguous
-                corr = daxpy(gram[j], corr, a=-delta)
+                daxpy(row, corr, a=-delta)  # updates corr in place
                 beta[j] = new
                 max_change = max(max_change, abs(delta))
         if max_change < tol:

@@ -13,9 +13,10 @@ values.  The lasso systems use closed-form Gaussian moments of the soft
 threshold instead of quadrature; their expectations carry no integration
 error at all.
 
-Every residual takes a stack of points, ``p`` of shape ``(m, n_params)``, and
-returns ``(m, n_eq)``; a 1-D ``p`` (or a dict of named values) returns one
-1-D residual.  Each row is computed as a call of its own would compute it.
+Every residual takes a stack of points, ``p`` of shape ``(m, n_params)`` with
+m >= 1 (an empty stack raises ConfigError), and returns ``(m, n_eq)``; a 1-D
+``p`` (or a dict of named values) returns one 1-D residual.  Each row is
+computed as a call of its own would compute it.
 The M-estimation systems push the quadrature nodes of all rows through the
 loss in one pass, and the lasso moments are elementwise; a logistic point
 integrates over a tensor grid of its own, so those residuals take the rows
@@ -197,8 +198,9 @@ def _unpack(p, system: str):
     single = arr.ndim < 2
     if single:
         arr = arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.shape[1] != len(names):
-        raise ConfigError(f"expected {len(names)} parameters {names}, got {arr.shape[-1]}")
+    if arr.ndim != 2 or arr.shape[1] != len(names) or not arr.shape[0]:
+        raise ConfigError(f"{system} expects m >= 1 points of {len(names)} parameters "
+                          f"{names}, got shape {arr.shape}")
     cols = list(arr.T)
     for name, col in zip(names, cols):
         if name in sdef.positive:

@@ -1,11 +1,18 @@
 """Data generation and finite-sample estimators."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import daxpy
 
+from hdse import losses
 from hdse.errors import ConfigError, MleNonExistence, NonConvergence
 from hdse.estimators import (
     Dataset,
+    _downdated_hessian,
     amp_lasso,
     empirical_mse,
     fit_lasso_cd,
@@ -23,6 +30,7 @@ from hdse.systems import ProblemSpec
 
 QUAD = LossSpec("quadratic")
 HUBER = LossSpec("huber", delta=1.345)
+LOGISTIC_RHO = LossSpec("logistic_rho")
 
 
 def linear_spec(kappa=0.5, sigma=1.0, loss=QUAD, prior=None, lam=0.0):
@@ -130,6 +138,81 @@ def test_huber_gradient_certificate():
     assert np.max(np.abs(grad)) < 1e-8
 
 
+def newton_m_fit(X, y, loss, tol=1e-8, max_iter=100):
+    """Newton with the Hessian rebuilt from all rows and LU-solved: the
+    reference for the downdated, Cholesky-solved fit."""
+    beta = cho_solve(cho_factor(X.T @ X, overwrite_a=True, check_finite=False), X.T @ y,
+                     check_finite=False)
+
+    def objective(b):
+        return float(np.sum(losses.eval_loss(loss, y - X @ b)))
+
+    obj = objective(beta)
+    for _ in range(max_iter):
+        r = y - X @ beta
+        grad = -X.T @ losses.loss_deriv(loss, r)
+        if float(np.max(np.abs(grad))) < tol:
+            return beta
+        xw = X * np.sqrt(losses.loss_curvature(loss, r))[:, None]
+        hess = xw.T @ xw
+        hess[np.diag_indices_from(hess)] += 1e-6
+        direction = np.linalg.solve(hess, -grad)
+        step = 1.0
+        while step > 1e-8:
+            cand = beta + step * direction
+            cand_obj = objective(cand)
+            if cand_obj <= obj:
+                beta, obj = cand, cand_obj
+                break
+            step *= 0.5
+        else:
+            break
+    raise AssertionError("reference Newton did not converge")
+
+
+# at kappa = 0.9 the OLS residuals have sd ~0.3 sigma, so sigma = 3 puts rows
+# past the huber knee; logistic_rho has curvature below 1 on every row
+NEWTON_CASES = [(HUBER, 0.3, 1.0), (HUBER, 0.9, 3.0), (QUAD, 0.5, 1.0),
+                (LOGISTIC_RHO, 0.2, 1.0)]
+
+
+@pytest.mark.parametrize("loss,kappa,sigma", NEWTON_CASES)
+def test_downdated_newton_matches_full_hessian_newton(loss, kappa, sigma):
+    spec = ProblemSpec("m_estimator", kappa=kappa, loss=loss, noise=gaussian(0.0, sigma))
+    data = gen_linear_data(spec, 400, seed=21)
+    reference = newton_m_fit(data.design, data.response, loss)
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    assert np.max(np.abs(fit_m_estimator(data) - reference)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("loss", [QUAD, HUBER, LOGISTIC_RHO])
+def test_downdated_hessian_equals_weighted_gram(loss):
+    data = gen_linear_data(linear_spec(kappa=0.3), 400, seed=22)
+    X = data.design
+    # residuals of scale 2 put huber rows on both sides of the knee
+    w = losses.loss_curvature(loss, 2.0 * make_rng(23).normal(size=data.n))
+    hess = _downdated_hessian(X.T @ X, X, w, 1e-6)
+    expected = X.T @ (w[:, None] * X) + 1e-6 * np.eye(data.d)
+    # cho_factor reads the upper triangle only
+    gap = np.max(np.abs(np.triu(hess) - np.triu(expected)))
+    assert gap <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("loss", [HUBER, QUAD])
+def test_m_fit_makes_no_design_sized_temporary(loss):
+    spec = ProblemSpec("m_estimator", kappa=0.1, loss=loss, noise=gaussian(0.0, 1.0))
+    data = gen_linear_data(spec, 4000, seed=24)
+    fit_m_estimator(data)  # lazy imports allocate outside the traced call
+    tracemalloc.start()
+    try:
+        fit_m_estimator(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one n x d scratch (such as -X.T, or X scaled by the curvature) is X.nbytes
+    assert peak < 0.8 * data.design.nbytes
+
+
 def test_absolute_loss_fit_rejected():
     spec = ProblemSpec("m_estimator", kappa=0.2, loss=LossSpec("absolute"),
                        prior=point_mass(0.0), noise=gaussian(0.0, 1.0))
@@ -177,6 +260,39 @@ def test_gram_cd_matches_column_cd(kappa, lam):
     # coefficients reach ~6 and the two summation orders differ by ~2e-12
     scale = max(1.0, float(np.max(np.abs(reference))))
     assert np.max(np.abs(fit_lasso_cd(data, lam) - reference)) < 1e-12 * scale
+
+
+def numpy_scalar_cd(data, lam, tol=1e-10):
+    """The covariance-update sweep indexing numpy scalars and rows per
+    coordinate: the reference for the bitwise equality of the lean sweep."""
+    X, y = data.design, data.response
+    gram = X.T @ X
+    corr = X.T @ y
+    col_sq = gram.diagonal().tolist()
+    beta = [0.0] * data.d
+    for _ in range(20000):
+        max_change = 0.0
+        for j, cj in enumerate(col_sq):
+            if cj == 0.0:
+                continue
+            old = beta[j]
+            rho = corr[j] + cj * old
+            new = math.copysign(max(abs(rho) - lam, 0.0), rho) / cj
+            if new != old:
+                delta = new - old
+                corr = daxpy(gram[j], corr, a=-delta)
+                beta[j] = new
+                max_change = max(max_change, abs(delta))
+        if max_change < tol:
+            return np.array(beta)
+    raise AssertionError("reference coordinate descent did not converge")
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.5])
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_lean_cd_sweep_is_bitwise_equal(kappa, lam):
+    data = lasso_data(n=200, kappa=kappa, lam=lam)
+    assert np.array_equal(fit_lasso_cd(data, lam), numpy_scalar_cd(data, lam))
 
 
 def test_cd_zero_penalty_is_ols():

@@ -291,6 +291,13 @@ def test_residual_rejects_points_outside_the_declared_domain(name, param, value,
         sdef.residual(np.array([point, bad]), spec)
 
 
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_residual_rejects_an_empty_stack(name):
+    spec, point = DOMAIN_CASES[name]
+    with pytest.raises(ConfigError, match=f"^{name} expects m >= 1 points"):
+        SYSTEMS[name].residual(np.empty((0, len(point))), spec)
+
+
 # ---------------------------------------------------------------------------
 # MSE extraction
 
