@@ -26,10 +26,12 @@ from .errors import NumericError
 LOSS_KINDS = ("quadratic", "absolute", "huber", "logistic_rho", "logistic_ell")
 
 # Iteration cap of the inner solve for the logistic proximal maps.  The scalar
-# equation is strictly monotone, so the bracket never fails; on the 61x61
-# quadrature grids the safeguarded Newton takes at most 10 iterations for
-# t <= 30 and 50 at t = 1e12.  Exhausting the cap raises NumericError instead
-# of returning an unconverged prox.
+# equation is strictly monotone, so the bracket never fails; on grids of
+# quadrature-scale arguments (sd up to ~10) the safeguarded Newton takes at
+# most 10 iterations for t <= 30 and 50 at t = 1e12.  Exhausting the cap
+# raises NumericError instead of returning an unconverged prox.  The logistic
+# state equations integrate in the prox output and do not call it; the M
+# systems with a logistic loss do.
 PROX_MAX_ITER = 100
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit, ndtr
 
 from .errors import (
     ConfigError,
@@ -27,9 +28,10 @@ from .errors import (
     NumericError,
     SingularJacobian,
 )
-# expect_noise_sum is not called here; the benchmark tracer wraps it under
-# this module's name, so the import stays.
-from .expectations import QuadratureRule, expect_noise_sum, zv_nodes  # noqa: F401
+# expect_noise_sum is not called here; the benchmark tracer
+# (perfbench/tracer.py) wraps it under this module's name, so the import
+# stays.
+from .expectations import QuadratureRule, expect_noise_sum  # noqa: F401
 from .systems import POSITIVITY_FLOOR, ProblemSpec, SeSolution, SystemDef, system_for
 from .transforms import CANONICAL, map_params
 
@@ -37,6 +39,7 @@ DAMPING_FLOOR = 1.0 / 64.0
 # Continuation step in kappa; warm starts this close converge in a few
 # Newton iterations on every system.
 KAPPA_STEP = 0.05
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -211,13 +214,21 @@ def kappa_critical(r_star: float, rule: QuadratureRule) -> float:
     """Logistic existence boundary kappa_c(r) = min_t E[(Z - t V)_+^2].
 
     The maximum-likelihood estimate exists asymptotically iff kappa is below
-    it (Candes & Sur, Ann. Statist. 2020); V is the label-tilted variable.
+    it (Candes & Sur, Ann. Statist. 2020); V is the label-tilted variable,
+    with density 2*phi(v)*sigmoid(r*v).  Given V the Z-integral is closed
+    form, E[(Z - a)_+^2] = (1 + a^2) Phi(-a) - a phi(a) with a = t V, so
+    only V is integrated, on ``rule`` with the tilt in its weights.
     """
     from scipy.optimize import minimize_scalar  # deferred: costs ~0.25 s of CLI import
 
-    Z, V, wgt = zv_nodes(r_star, rule)
-    return float(minimize_scalar(
-        lambda t: np.sum(wgt * np.maximum(Z - t * V, 0.0) ** 2)).fun)
+    v = rule.nodes
+    wgt = rule.weights * 2.0 * expit(r_star * v)
+
+    def hinge(t):
+        a = t * v
+        return float(np.dot(wgt, (1.0 + a * a) * ndtr(-a) - a * np.exp(-0.5 * a * a) / _SQRT_2PI))
+
+    return float(minimize_scalar(hinge).fun)
 
 
 def require_existence(system: str, spec: ProblemSpec) -> None:

@@ -18,9 +18,11 @@ m >= 1 (an empty stack raises ConfigError), and returns ``(m, n_eq)``; a 1-D
 ``p`` (or a dict of named values) returns one 1-D residual.  Each row is
 computed as a call of its own would compute it.
 The M-estimation systems push the quadrature nodes of all rows through the
-loss in one pass, and the lasso moments are elementwise; a logistic point
-integrates over a tensor grid of its own, so those residuals take the rows
-in turn.
+loss in one pass, and the lasso moments are elementwise.  The logistic
+systems condition on the one Gaussian combination their prox sees: each row
+integrates it in the prox output (``prox_rho_nodes``, no prox solve) with a
+Gauss-Hermite sum over the other direction at every outer node, so the rows
+also stack, at a cost of rows x outer nodes x inner nodes.
 
 A system's parameter names and domain are declared once, in its ``SYSTEMS``
 entry: ``_unpack`` checks each column against its ``positive`` (> 0 and
@@ -38,22 +40,25 @@ from scipy.special import expit
 from . import losses
 from .errors import ConfigError, StateError
 
-# expect_noise_zweighted is not called here (m_cgmt asks expect_noise_sum for
-# its Z-weighted integral); the benchmark tracer wraps it under this module's
-# name, so the import stays.
+# expect_noise_zweighted, bivariate_nodes and zv_nodes are not called here
+# (m_cgmt asks expect_noise_sum for its Z-weighted integral, and the logistic
+# systems integrate in the prox output); the benchmark tracer
+# (perfbench/tracer.py) wraps them under this module's name, so the imports
+# stay.
 from .expectations import (
     DEFAULT_QUAD_ORDER,
     KINKED_QUAD_ORDER,
     DistributionSpec,
     QuadratureRule,
-    bivariate_nodes,
+    bivariate_nodes,  # noqa: F401
     expect_noise_sum,
     expect_noise_zweighted,  # noqa: F401
     gauss_hermite,
     gaussian,
     point_mass,
+    prox_rho_nodes,
     soft_threshold_moments,
-    zv_nodes,
+    zv_nodes,  # noqa: F401
 )
 from .losses import LossSpec
 
@@ -358,7 +363,11 @@ def residual_lasso_cgmt(p, spec: ProblemSpec) -> np.ndarray:
 
 
 def logistic_loo_covariance(spec: ProblemSpec, alpha1: float, sigma: float) -> np.ndarray:
-    """Covariance of the (true logit, negative fitted logit) Gaussian pair."""
+    """Covariance of the (true logit, negative fitted logit) Gaussian pair.
+
+    ``residual_logistic_loo`` conditions on its second entry, the prox
+    argument; the tests integrate the pair on a tensor grid as an oracle.
+    """
     r2 = spec.r_star ** 2
     return np.array([
         [r2, -sigma * r2],
@@ -366,47 +375,63 @@ def logistic_loo_covariance(spec: ProblemSpec, alpha1: float, sigma: float) -> n
     ])
 
 
-def _row_by_row(point_residual, system: str, p, spec: ProblemSpec):
-    # Each point of a logistic system integrates over its own tensor grid, so
-    # a stack shares no nodes; its rows are evaluated in turn, which keeps
-    # every grid temporary small (one 61x61 grid, not one per row).
-    cols, single = _unpack(p, system)
-    out = np.array([point_residual(*map(float, row), spec) for row in zip(*cols)])
-    return out[0] if single else out
-
-
-def _logistic_loo_point(alpha1, sigma, lam, spec: ProblemSpec) -> np.ndarray:
-    rho = LossSpec("logistic_rho")
-    q1, q2, wgt = bivariate_nodes(logistic_loo_covariance(spec, alpha1, sigma), spec.rule())
-    rho_p_q1 = expit(q1)
-    _, rp, rpp = losses.prox(rho, q2, lam, with_derivs=True)
-    k = spec.kappa
-    e_sq = float(np.sum(wgt * 2.0 * rho_p_q1 * (lam * rp) ** 2))
-    e_cross = float(np.sum(wgt * rho_p_q1 * q1 * lam * rp))
-    e_deriv = float(np.sum(wgt * 2.0 * rho_p_q1 / (1.0 + lam * rpp)))
-    return np.array([e_sq / k ** 2 - alpha1 ** 2, e_cross, e_deriv - (1.0 - k)])
-
-
 def residual_logistic_loo(p, spec: ProblemSpec) -> np.ndarray:
+    """LOO system, conditioned on the prox argument Q2 ~ N(0, s^2).
+
+    Given Q2, Q1 = c*Q2 + sqrt(v)*U (``logistic_loo_covariance``), so the
+    sums of sigmoid(Q1) and Q1*sigmoid(Q1) are smooth inner Gauss-Hermite
+    sums, and Q2 is integrated in its prox output (``prox_rho_nodes``).
+    """
     if spec.r_star <= 0:
         raise ConfigError("the logistic LOO system requires r_star > 0")
-    return _row_by_row(_logistic_loo_point, "logistic_loo", p, spec)
-
-
-def _logistic_cgmt_point(alpha2, mu, lam, spec: ProblemSpec) -> np.ndarray:
-    ell = LossSpec("logistic_ell")
-    Z, V, wgt = zv_nodes(spec.r_star, spec.rule())
-    _, ellp, ellpp = losses.prox(ell, alpha2 * Z + mu * V, lam, with_derivs=True)
-    k = spec.kappa
-    return np.array([
-        float(np.sum(wgt * V * ellp)),
-        lam ** 2 * float(np.sum(wgt * ellp ** 2)) - alpha2 ** 2 * k,
-        lam * float(np.sum(wgt * ellpp / (1.0 + lam * ellpp))) - k,
-    ])
+    (alpha1, sigma, lam), single = _unpack(p, "logistic_loo")
+    k, r2 = spec.kappa, spec.r_star ** 2
+    s2 = sigma ** 2 * r2 + alpha1 ** 2 * k
+    c, v = -sigma * r2 / s2, r2 * alpha1 ** 2 * k / s2
+    rule = spec.rule()
+    q2, rp, w = prox_rho_nodes(np.sqrt(s2), lam, rule.order)
+    # (rows, outer nodes, inner nodes) grids, at most two alive at once
+    q1 = c[:, None, None] * q2[..., None] + np.sqrt(v)[:, None, None] * rule.nodes
+    s1 = expit(q1)
+    e_s1 = np.vecdot(s1, rule.weights)           # E[sigmoid(Q1) | Q2]
+    s1 *= q1
+    e_q1s1 = np.vecdot(s1, rule.weights)         # E[Q1 sigmoid(Q1) | Q2]
+    lam_c = lam[:, None]
+    lrp = lam_c * rp
+    rpp = rp * (1.0 - rp)
+    e_sq = np.vecdot(2.0 * e_s1 * lrp ** 2, w)
+    e_cross = np.vecdot(e_q1s1 * lrp, w)
+    e_deriv = np.vecdot(2.0 * e_s1 / (1.0 + lam_c * rpp), w)
+    return _rows([e_sq / k ** 2 - alpha1 ** 2, e_cross, e_deriv - (1.0 - k)], single)
 
 
 def residual_logistic_cgmt(p, spec: ProblemSpec) -> np.ndarray:
-    return _row_by_row(_logistic_cgmt_point, "logistic_cgmt", p, spec)
+    """CGMT system, conditioned on the prox argument X = alpha2*Z + mu*V.
+
+    With s = hypot(alpha2, mu), X = s*U1 and V = (mu*U1 + alpha2*U2)/s for a
+    standard Gaussian pair, so the label tilt 2*sigmoid(r*V) becomes an
+    inner Gauss-Hermite sum over U2.  prox_ell(X) = -prox_rho(Y) with
+    Y = -X, where ell' = -sigmoid(P) and ell'' = sigmoid'(P), and Y is
+    integrated in its prox output P (``prox_rho_nodes``).
+    """
+    (alpha2, mu, lam), single = _unpack(p, "logistic_cgmt")
+    k = spec.kappa
+    s = np.hypot(alpha2, mu)
+    rule = spec.rule()
+    y, sp, w = prox_rho_nodes(s, lam, rule.order)
+    # (rows, outer nodes, inner nodes) grids, at most two alive at once
+    vv = (-mu / s ** 2)[:, None, None] * y[..., None] + (alpha2 / s)[:, None, None] * rule.nodes
+    tilt = spec.r_star * vv
+    expit(tilt, out=tilt)
+    e_t = 2.0 * np.vecdot(tilt, rule.weights)    # E[2 sigmoid(r V) | Y]
+    tilt *= vv
+    e_vt = 2.0 * np.vecdot(tilt, rule.weights)   # E[V 2 sigmoid(r V) | Y]
+    spp = sp * (1.0 - sp)
+    return _rows([
+        -np.vecdot(e_vt * sp, w),
+        lam ** 2 * np.vecdot(e_t * sp ** 2, w) - alpha2 ** 2 * k,
+        lam * np.vecdot(e_t * spp / (1.0 + lam[:, None] * spp), w) - k,
+    ], single)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ from hdse.expectations import (
     gauss_hermite,
     gaussian,
     point_mass,
+    prox_rho_nodes,
     soft_threshold_moments,
     two_point,
     zv_nodes,
 )
+from hdse.losses import LossSpec, prox
 from hdse.systems import lasso_signal_moments
 
 
@@ -250,3 +252,41 @@ def test_soft_threshold_moments_zero_threshold():
     assert e2 == pytest.approx(0.7**2 + 1.2**2, abs=1e-13)
     assert ep == pytest.approx(1.0, abs=1e-14)
     assert es == pytest.approx(e2, abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# Expectations over the logistic prox output
+
+
+@pytest.mark.parametrize("sd,t", [(1.0, 0.5), (3.0, 4.0), (15.0, 27.0), (28.0, 56.0),
+                                  (0.5, 200.0), (1.0, 1e4), (2.0, 1e-8)])
+def test_prox_rho_nodes_against_adaptive_quadrature(sd, t):
+    # t >> sd puts the whole window of Y inside the sigmoid's bend; the oracle
+    # solves the prox at every point scipy's adaptive rule asks for
+    y, sig, w = (a[0] for a in prox_rho_nodes(np.array([sd]), np.array([t]), 61))
+    p_nodes = y - t * sig
+    rho = LossSpec("logistic_rho")
+
+    def oracle(h):
+        def f(v):
+            p, s, _ = prox(rho, v, t, with_derivs=True)
+            return np.exp(-0.5 * (v / sd) ** 2) / (np.sqrt(2.0 * np.pi) * sd) * h(p, s, v)
+
+        return quad(f, -12.0 * sd, 12.0 * sd, points=(0.0, 0.5 * t, t), limit=400,
+                    epsabs=1e-13, epsrel=1e-12)[0]
+
+    for got, h in ((w.sum(), lambda p, s, v: 1.0),
+                   (w @ y ** 2, lambda p, s, v: v * v),
+                   (w @ sig, lambda p, s, v: s),
+                   (w @ (p_nodes * y), lambda p, s, v: p * v),
+                   (w @ (sig * (1.0 - sig)), lambda p, s, v: s * (1.0 - s))):
+        want = oracle(h)
+        assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (got, want)
+
+
+def test_prox_rho_nodes_rows_are_independent():
+    sd, t = np.array([1.0, 15.0, 0.5]), np.array([0.5, 27.0, 200.0])
+    stacked = prox_rho_nodes(sd, t, 61)
+    for i in range(3):
+        for a, b in zip(stacked, prox_rho_nodes(sd[i:i + 1], t[i:i + 1], 61)):
+            assert np.array_equal(a[i], b[0])

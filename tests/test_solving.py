@@ -20,7 +20,7 @@ from hdse.solving import (
 from hdse.systems import POSITIVITY_FLOOR, SYSTEMS, ProblemSpec
 from hdse.transforms import verify_equivalence
 
-# kappa_c(r*) of the logistic model to 1e-5 (121-point rule).
+# kappa_c(r*) of the logistic model to 1e-5.
 KAPPA_CRITICAL = {0.5: 0.48161, 1.0: 0.43894, 2.0: 0.34493}
 LOGISTIC_SYSTEMS = ("logistic_loo", "logistic_cgmt")
 
@@ -173,6 +173,27 @@ def test_kappa_critical_values(r_star):
     assert kappa_critical(r_star, rule) == pytest.approx(KAPPA_CRITICAL[r_star], abs=1e-4)
 
 
+def _hinge_minimum(r_star, order):
+    # min_t E[(Z - tV)_+^2] with the Z-integral in closed form given V,
+    # V on an order-point Hermite rule carrying the tilt 2*sigmoid(r v)
+    from scipy.optimize import minimize_scalar
+    from scipy.special import expit, roots_hermitenorm
+    from scipy.stats import norm
+
+    v, w = roots_hermitenorm(order)
+    w = w / w.sum() * 2.0 * expit(r_star * v)
+    return minimize_scalar(
+        lambda t: w @ ((1.0 + (t * v) ** 2) * norm.sf(t * v) - t * v * norm.pdf(t * v)),
+        bounds=(0.0, 50.0), method="bounded", options={"xatol": 1e-10}).fun
+
+
+@pytest.mark.parametrize("r_star", sorted(KAPPA_CRITICAL))
+def test_kappa_critical_against_a_high_order_rule(r_star):
+    # a 61x61 tensor grid with the hinge on it gave 0.3449073 at r* = 2
+    rule = ProblemSpec("logistic", kappa=0.1, r_star=r_star).rule()
+    assert abs(kappa_critical(r_star, rule) - _hinge_minimum(r_star, 401)) <= 1e-9
+
+
 def test_kappa_critical_tends_to_cover_bound():
     rule = ProblemSpec("logistic", kappa=0.1, r_star=1.0).rule()
     gaps = [0.5 - kappa_critical(r, rule) for r in (0.1, 0.01, 1e-3)]
@@ -185,6 +206,15 @@ def test_kappa_critical_tends_to_cover_bound():
 @pytest.mark.parametrize("r_star", sorted(KAPPA_CRITICAL))
 def test_logistic_solves_below_boundary(system, r_star):
     spec = ProblemSpec("logistic", kappa=0.97 * KAPPA_CRITICAL[r_star], r_star=r_star)
+    assert solve_system(system, spec).converged
+
+
+@pytest.mark.parametrize("system", LOGISTIC_SYSTEMS)
+@pytest.mark.parametrize("r_star", sorted(KAPPA_CRITICAL))
+def test_logistic_solves_at_0_99_kappa_c(system, r_star):
+    # with the residuals' quadrature error of a 61x61 grid both systems
+    # stalled here at r* = 2, at residuals 1.4e-1 and 2.2e-2
+    spec = ProblemSpec("logistic", kappa=0.99 * KAPPA_CRITICAL[r_star], r_star=r_star)
     assert solve_system(system, spec).converged
 
 

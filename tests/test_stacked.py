@@ -60,6 +60,16 @@ def _catalog():
                                              [-1.0, 1.1, 0.4], [2.0, 1.1, -1.0]]))
         cases.append(("logistic_cgmt", spec, [[1.0, 1.1, 0.4], [0.6, 2.0, 1.5],
                                               [1.0, -1.0, 0.4], [-1.0, 1.1, 0.4]]))
+    # near the existence boundary (0.97 kappa_c at r* = 2), rows at and off the roots
+    spec = ProblemSpec("logistic", kappa=0.97 * 0.3449301, r_star=2.0)
+    cases.append(("logistic_loo", spec, [[19.35, 4.951, 26.94], [10.0, 3.0, 12.0],
+                                         [-1.0, 4.951, 26.94], [19.35, 4.951, -1.0]]))
+    cases.append(("logistic_cgmt", spec, [[11.19, 9.902, 26.94], [5.0, 0.5, 12.0],
+                                          [11.19, -1.0, 26.94], [-1.0, 9.902, 26.94]]))
+    # no signal and mu = 0: no tilt, and the prox argument has sd alpha2
+    spec = ProblemSpec("logistic", kappa=0.2, prior=point_mass(0.0), r_star=0.0)
+    cases.append(("logistic_cgmt", spec, [[0.8, 0.0, 0.5], [1.5, 0.0, 3.0],
+                                          [0.8, -1.0, 0.5], [-1.0, 0.0, 0.5]]))
     return cases
 
 
@@ -69,12 +79,9 @@ CATALOG = _catalog()
 def _ids():
     labels = {"m_estimator": lambda s: f"{s.loss.kind}-{s.noise.kind}",
               "lasso": lambda s: f"{s.prior.kind}-lam{s.lambda_star:g}",
-              "logistic": lambda s: f"r{s.r_star:g}"}
+              "logistic": lambda s: f"r{s.r_star:g}" + ("" if s.kappa == 0.2
+                                                         else f"-kappa{s.kappa:.3g}")}
     return [f"{name}-{labels[spec.model](spec)}" for name, spec, _ in CATALOG]
-
-
-def _rel_close(a, b, rel):
-    return np.all(np.abs(a - b) <= rel * np.abs(b))
 
 
 @pytest.mark.parametrize("name,spec,rows", CATALOG, ids=_ids())
@@ -90,7 +97,7 @@ def test_stacked_rows_equal_single_calls(name, spec, rows):
         assert np.array_equal(single_point, stack[i])
         single = sdef.residual(single_point, spec)
         assert single.shape == (len(sdef.params),)
-        assert _rel_close(out[i], single, 1e-14), (i, out[i], single)
+        assert np.array_equal(out[i], single), (i, out[i], single)
 
 
 def test_m_stack_straddles_the_panel_branch():
