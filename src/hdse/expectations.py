@@ -51,7 +51,7 @@ _CHOLESKY_JITTER = 1e-12
 # the window).  Newton reaches a preimage from its monotone side within the
 # step cap for t up to ~1e4; one short of its root only moves an edge.
 _SIGMOID_BENDS = np.array([-16.0, -8.0, -3.0, 0.0, 3.0, 8.0, 16.0])
-_IMAGE_SDS = np.array([-PANEL_HALFWIDTH, -7.0, -4.0, -2.0, 2.0, 4.0, 7.0, PANEL_HALFWIDTH])
+_PREIMAGE_SDS = np.array([-PANEL_HALFWIDTH, -7.0, -4.0, -2.0, 2.0, 4.0, 7.0, PANEL_HALFWIDTH])
 _PREIMAGE_STEPS = 12
 _PREIMAGE_TOL = 1e-13
 
@@ -353,7 +353,7 @@ def prox_rho_nodes(sd, t, order: int):
     sd = np.asarray(sd, dtype=float)[:, None]
     t = np.asarray(t, dtype=float)[:, None]
     m = sd.shape[0]
-    ends = _rho_preimage(sd * _IMAGE_SDS, t)
+    ends = _rho_preimage(sd * _PREIMAGE_SDS, t)
     lo, hi = ends[:, :1], ends[:, -1:]
     bends = np.broadcast_to(_SIGMOID_BENDS, (m, _SIGMOID_BENDS.size))
     cuts = np.clip(np.concatenate([ends[:, 1:-1], bends], axis=1), lo, hi)
