@@ -207,10 +207,11 @@ def _cli_system(name: str) -> str:
 
 
 def _provenance(cfg: dict, spec: ProblemSpec) -> dict:
+    # the lasso systems integrate in closed form, so no order governs them
     return {
         "artifact_version": __version__,
         "config_hash": config_hash(cfg),
-        "quad_order": spec.default_quad_order(),
+        "quad_order": "" if spec.model == "lasso" else spec.default_quad_order(),
     }
 
 

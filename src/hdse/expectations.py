@@ -17,9 +17,10 @@ which the tests integrate the logistic systems as an oracle.
 
 Gaussian directions use Gauss-Hermite quadrature in the probabilists'
 normalization (weights sum to 1).  Discrete laws are enumerated exactly.
-Integrands with derivative kinks (huber and absolute prox maps, soft
-thresholds) are integrated with Gauss-Legendre panels split at the kinks,
-because Gauss-Hermite loses most of its accuracy across a kink; the prox
+Integrands with derivative kinks (huber and absolute prox maps) are
+integrated with Gauss-Legendre panels of the same order, split at the kinks,
+because Gauss-Hermite loses most of its accuracy across a kink; the choice
+is made per integrand, so every row of a kinked call gets panels.  The prox
 output axis gets panels at the bends of the sigmoid for the same reason.
 """
 
@@ -35,8 +36,6 @@ from .errors import ConfigError, NumericError
 DISTRIBUTION_KINDS = ("point_mass", "gaussian", "two_point", "bernoulli_gaussian")
 
 DEFAULT_QUAD_ORDER = 61
-# Kinked integrands get a doubled rule wherever quadrature is still involved.
-KINKED_QUAD_ORDER = 121
 
 # Integration window for the panel scheme, in standard deviations. The
 # integrands grow at most polynomially, so the truncated tail is far below
@@ -171,63 +170,45 @@ def _gauss_nodes(mean, sd, rule: QuadratureRule, kinks):
     """Nodes and weights of E[g(X)], X ~ N(mean, sd^2), per row of mean/sd.
 
     Returns ``(x, w, dens, half)``: E[g(X)] is the sum over panels j of
-    ``half[..., j] * sum_k w * g(x) * dens`` over the last axis.  A row with
-    no kink strictly inside its +-PANEL_HALFWIDTH sd window gets the
-    Gauss-Hermite rule in panel 0; a row with kinks gets Gauss-Legendre
-    panels split at them.  Padding panels have zero width, and ``dens`` and
-    ``half`` are None when every row is Gauss-Hermite.  A row with sd = 0 is
-    a point evaluation at its mean.
+    ``half[..., j] * sum_k w * g(x) * dens`` over the last axis.  A smooth
+    integrand (no kinks) gets the Gauss-Hermite rule, and ``dens`` and
+    ``half`` are None.  A kinked one gets Gauss-Legendre panels on every
+    row, split at the kinks clipped into the +-PANEL_HALFWIDTH sd window, so
+    a kink outside the window leaves a zero-width panel.  A row with sd = 0
+    is a point evaluation at its mean.
     """
     mean, sd = np.asarray(mean, dtype=float), np.asarray(sd, dtype=float)
-    lo = mean - PANEL_HALFWIDTH * sd
-    hi = mean + PANEL_HALFWIDTH * sd
-    inside = None
-    if kinks:
-        ks = np.empty(lo.shape + (len(kinks),))
-        for j, k in enumerate(kinks):
-            ks[..., j] = k
-        inside = (lo[..., None] < ks) & (ks < hi[..., None])
-        if not inside.any():
-            inside = None
     point = sd == 0.0
-    if inside is None:
+    if not kinks:
         x = mean[..., None] + sd[..., None] * rule.nodes
         w = rule.weights
         if point.any():
             w = np.where(point[..., None], _unit(w.size), w)
         return x, w, None, None
-    u, wl = _legendre(rule.order)
-    npts = u.size
-    n_panels = int(inside.sum(axis=-1).max()) + 1
-    # valid cuts first in ascending order, the rest padded with hi
-    cuts = np.sort(np.where(inside, ks, np.inf), axis=-1)[..., :n_panels - 1]
-    edges = np.concatenate([lo[..., None], np.minimum(cuts, hi[..., None]), hi[..., None]],
-                           axis=-1)
+    lo = mean - PANEL_HALFWIDTH * sd
+    hi = mean + PANEL_HALFWIDTH * sd
+    ks = np.empty(lo.shape + (len(kinks),))
+    for j, k in enumerate(kinks):
+        ks[..., j] = k
+    cuts = np.sort(np.clip(ks, lo[..., None], hi[..., None]), axis=-1)
+    edges = np.concatenate([lo[..., None], cuts, hi[..., None]], axis=-1)
     a, b = edges[..., :-1], edges[..., 1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    u, w = _legendre(rule.order)
     x = mid[..., None] + half[..., None] * u
-    m, s = mean[..., None, None], sd[..., None, None]
-    s_dens = np.where(point, 1.0, sd) if point.any() else sd
+    s_dens = np.where(point, 1.0, sd)
     inv = 1.0 / (np.sqrt(2.0 * np.pi) * s_dens)
-    dens = inv[..., None, None] * np.exp(-0.5 * ((x - m) / s_dens[..., None, None]) ** 2)
-    w = wl
-    gh = ~inside.any(axis=-1)
-    if gh.any():
-        # Gauss-Hermite (or point) rows: the rule in panel 0, nothing after it
-        first = np.arange(n_panels) == 0
-        gx = m + s * np.where(first[:, None], _pad(rule.nodes, npts), 0.0)
-        gw = np.where(point[..., None], _unit(npts), _pad(rule.weights, npts))
-        gw = np.where(first[:, None], gw[..., None, :], 0.0)
-        g3 = gh[..., None, None]
-        x = np.where(g3, gx, x)
-        w = np.where(g3, gw, w)
-        dens = np.where(g3, 1.0, dens)
-        half = np.where(gh[..., None], first.astype(float), half)
+    dens = inv[..., None, None] * np.exp(
+        -0.5 * ((x - mean[..., None, None]) / s_dens[..., None, None]) ** 2)
+    if point.any():
+        # a point row has zero-width panels at its mean: weight 1 on the
+        # first node of panel 0, nothing after it
+        first = np.arange(half.shape[-1]) == 0
+        p3 = point[..., None, None]
+        w = np.where(p3, np.where(first[:, None], _unit(u.size), 0.0), w)
+        dens = np.where(p3, 1.0, dens)
+        half = np.where(point[..., None], first, half)
     return x, w, dens, half
-
-
-def _pad(v: np.ndarray, size: int) -> np.ndarray:
-    return v if v.size == size else np.concatenate([v, np.zeros(size - v.size)])
 
 
 def _unit(size: int) -> np.ndarray:

@@ -156,33 +156,28 @@ def loss_curvature(loss: LossSpec, x):
 
 
 def _prox_logistic(loss: LossSpec, x: np.ndarray, t):
-    # Returns the prox p with the loss derivative and curvature at p.  ell is
-    # solved through the reflection prox_ell(x) = -prox_rho(-x), so the inner
-    # loop only evaluates sigmoid(p), never the cancelling sigmoid(p) - 1,
-    # whose absolute error times t keeps large-t ell solves from reaching tol.
-    # The derivatives come from the sigmoid s of the last inner step:
-    # rho' = s, and ell'(-p) = -s by the same reflection.
+    # ell is solved through the reflection prox_ell(x) = -prox_rho(-x), so the
+    # inner loop only evaluates sigmoid(p), never the cancelling
+    # sigmoid(p) - 1, whose absolute error times t keeps large-t ell solves
+    # from reaching tol.
     if loss.kind == "logistic_ell":
-        p, s = _prox_rho(-x, t)
-        return -p, -s, s * (1.0 - s)
-    p, s = _prox_rho(x, t)
-    return p, s, s * (1.0 - s)
+        return -_prox_rho(-x, t)
+    return _prox_rho(x, t)
 
 
 def _prox_rho(x: np.ndarray, t):
-    # Solve p + t*sigmoid(p) = x; returns p and sigmoid(p). sigmoid is bounded
-    # in (0,1), which gives the width-t bracket [x - t, x].  Newton steps are
-    # accepted only when they stay inside the bracket and at least halve the
-    # previous step, otherwise the bracket is bisected; this rules out the
-    # oscillation Newton is prone to at large t.  Entries already within tol
+    # Solve p + t*sigmoid(p) = x for p. sigmoid is bounded in (0,1), which
+    # gives the width-t bracket [x - t, x].  Newton steps are accepted only
+    # when they stay inside the bracket and at least halve the previous step,
+    # otherwise the bracket is bisected; this rules out the oscillation
+    # Newton is prone to at large t.  Entries already within tol
     # skip that safeguard and take the plain (tiny) Newton step: their
     # candidate sits on a bracket end and their previous step is ~0, so the
     # safeguard would bisect them away from the root every iteration.
     if np.ndim(t) > 0:
         # A per-row t solves row by row: a row's iterate must not depend on
         # how long the other rows take, and one row's grid stays in cache.
-        rows = [_prox_rho(xi, float(ti)) for xi, ti in zip(x, np.ravel(t))]
-        return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+        return np.array([_prox_rho(xi, float(ti)) for xi, ti in zip(x, np.ravel(t))])
     lo, hi = x - t, x.copy()
     p = np.clip(x - t * expit(x), lo, hi)
     step_prev = np.full_like(x, 2.0 * t)
@@ -195,7 +190,7 @@ def _prox_rho(x: np.ndarray, t):
         # estimate: at large t the rounding of p + t*s alone can exceed tol.
         done = np.abs(f) <= np.maximum(tol, df * np.abs(np.spacing(p)))
         if done.all():
-            return p, s
+            return p
         pos = f > 0
         hi = np.where(pos, p, hi)
         lo = np.where(pos, lo, p)
@@ -211,30 +206,20 @@ def _prox_rho(x: np.ndarray, t):
         f"(worst |f|/tol = {worst:.3g})")
 
 
-def prox(loss: LossSpec, x, t, *, with_derivs: bool = False):
-    """Proximal map: the minimizer of loss(z) + (x - z)^2 / (2 t).
-
-    With ``with_derivs`` the result is ``(p, loss'(p), loss''(p))``; the
-    logistic kinds take both derivatives from their inner solve instead of
-    evaluating the sigmoid again.
-    """
+def prox(loss: LossSpec, x, t):
+    """Proximal map: the minimizer of loss(z) + (x - z)^2 / (2 t)."""
     t = _check_t(t)
     arr, scalar = _prepare(x)
     t = _per_row(t, arr)
     if loss.kind in ("logistic_rho", "logistic_ell"):
-        p, d1, d2 = _prox_logistic(loss, arr, t)
-        if with_derivs:
-            return _ret(p, scalar), _ret(d1, scalar), _ret(d2, scalar)
-        return _ret(p, scalar)
-    if loss.kind == "quadratic":
+        out = _prox_logistic(loss, arr, t)
+    elif loss.kind == "quadratic":
         out = arr / (1.0 + t)
     elif loss.kind == "absolute":
         out = np.sign(arr) * np.maximum(np.abs(arr) - t, 0.0)
     elif loss.kind == "huber":
         d = loss.delta
         out = np.where(np.abs(arr) <= d * (1.0 + t), arr / (1.0 + t), arr - t * d * np.sign(arr))
-    if with_derivs:
-        return (_ret(out, scalar), loss_deriv(loss, out), loss_curvature(loss, out))
     return _ret(out, scalar)
 
 
@@ -251,7 +236,7 @@ def prox_deriv(loss: LossSpec, x, t):
     elif loss.kind == "huber":
         out = np.where(np.abs(arr) <= loss.delta * (1.0 + t), 1.0 / (1.0 + t), 1.0)
     else:
-        p = _prox_logistic(loss, arr, t)[0]
+        p = _prox_logistic(loss, arr, t)
         out = 1.0 / (1.0 + t * loss_curvature(loss, p))
     return _ret(out, scalar)
 

@@ -47,7 +47,6 @@ from .errors import ConfigError, StateError
 # stay.
 from .expectations import (
     DEFAULT_QUAD_ORDER,
-    KINKED_QUAD_ORDER,
     DistributionSpec,
     QuadratureRule,
     bivariate_nodes,  # noqa: F401
@@ -154,14 +153,9 @@ class ProblemSpec:
             raise ConfigError("quad_order must be at least 3")
 
     def default_quad_order(self) -> int:
-        # Kinked integrands converge slower, so the absolute loss (as data fit
-        # or as the l1 regularizer) doubles the base order wherever plain
-        # quadrature still appears.
-        if self.quad_order is not None:
-            return self.quad_order
-        if self.loss.kind == "absolute" or self.model == "lasso":
-            return KINKED_QUAD_ORDER
-        return DEFAULT_QUAD_ORDER
+        # Kinked integrands need no higher order: expect_noise_sum splits
+        # them into Gauss-Legendre panels at the kinks.
+        return self.quad_order if self.quad_order is not None else DEFAULT_QUAD_ORDER
 
     def rule(self) -> QuadratureRule:
         return gauss_hermite(self.default_quad_order())

@@ -70,6 +70,16 @@ def test_solve_se_quadratic(tmp_path):
     assert set(rows[0]) == set(SOLVE_COLUMNS)
 
 
+def test_solve_se_lasso_leaves_quad_order_empty(tmp_path):
+    # the lasso systems run no quadrature, so no order is recorded
+    cfg = write_config(tmp_path, LASSO_CONFIG)
+    out = str(tmp_path / "r.csv")
+    assert main(["solve-se", "--system", "lasso-amp", "--config", cfg, "--out", out]) == 0
+    row = read_rows(out)[0]
+    assert row["status"] == "converged"
+    assert row["quad_order"] == ""
+
+
 def test_solve_se_unknown_system(tmp_path, capsys):
     cfg = write_config(tmp_path, QUAD_CONFIG)
     assert main(["solve-se", "--system", "nosuch", "--config", cfg]) == 1

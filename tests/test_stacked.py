@@ -33,8 +33,8 @@ LASSO_PRIORS = (bernoulli_gaussian(0.1, np.sqrt(10.0)), two_point(1.0, 0.5), gau
 def _catalog():
     """(system, spec, stack): every system over the loss x noise catalog.
 
-    Each m stack has a panel row (kink inside the +-12 sd window), a
-    Gauss-Hermite row (lam = 20 puts the kinks outside it), and rows with a
+    Each m stack has a row with its kinks inside the +-12 sd panel window, a
+    row with them outside it (lam = 20), and rows with a
     coordinate below the positivity floor, which the solver clamp lifts.
     """
     cases = []
@@ -101,30 +101,28 @@ def test_stacked_rows_equal_single_calls(name, spec, rows):
 
 
 def test_m_stack_straddles_the_panel_branch():
-    # the catalog's m rows must put the kinks inside the window for one row
-    # and outside it for another, in one stack
+    # the catalog's m rows put the kinks inside the window for one row and
+    # outside it for another; both rows get the same panel layout
     loss = LossSpec("absolute")
     spec = ProblemSpec("m_estimator", kappa=0.35, loss=loss, noise=gaussian(0.0, 1.0))
     seen = []
 
-    def g(s):
+    def g(s, lam):
         seen.append(s.shape)
-        return losses.prox_deriv(loss, s, lam)
+        return np.stack([losses.prox_deriv(loss, s, lam), losses.moreau_bundle(loss, s, lam).m])
 
     tau, lam = np.array([1.2, 0.5]), np.array([0.6, 20.0])
-    stacked = expect_noise_sum(g, spec.noise, tau, spec.rule(),
+    stacked = expect_noise_sum(lambda s: g(s, lam), spec.noise, tau, spec.rule(),
                                kinks=losses.prox_kinks(loss, lam))
-    # one call on (rows, components, panels, nodes): panels for row 0 only
+    # one call on (rows, components, panels, nodes)
     assert len(seen) == 1 and seen[0][:3] == (2, 1, 3)
     for i in range(2):
-        single = expect_noise_sum(lambda s, t=lam[i]: losses.prox_deriv(loss, s, t), spec.noise,
-                                  tau[i], spec.rule(), kinks=losses.prox_kinks(loss, lam[i]))
-        assert stacked[i] == single
-    # alone, the second row is a plain Gauss-Hermite row
-    seen.clear()
-    lam = lam[1:]
-    expect_noise_sum(g, spec.noise, tau[1:], spec.rule(), kinks=losses.prox_kinks(loss, lam))
-    assert seen[0] == (1, 1, spec.rule().order)
+        single = expect_noise_sum(lambda s, t=lam[i]: g(s, t), spec.noise, tau[i],
+                                  spec.rule(), kinks=losses.prox_kinks(loss, lam[i]))
+        assert np.array_equal(stacked[:, i], single)
+    # the out-of-window row integrates a smooth function: Gauss-Hermite agrees
+    plain = expect_noise_sum(lambda s: g(s, lam[1]), spec.noise, tau[1], spec.rule())
+    assert np.max(np.abs(stacked[:, 1] - plain)) <= 1e-13
 
 
 @pytest.mark.parametrize("noise", [gaussian(0.0, 1.0), two_point(1.0, 0.3), point_mass(0.0)])

@@ -16,6 +16,7 @@ from hdse.expectations import (
     gauss_hermite,
     gaussian,
     point_mass,
+    two_point,
     zv_nodes,
 )
 from hdse.losses import LossSpec, moreau_bundle, prox_kinks
@@ -69,10 +70,12 @@ def test_spec_resolves_and_checks_consistency():
 
 
 def test_quad_order_defaults():
-    assert m_spec(0.5).default_quad_order() == 61
-    assert m_spec(0.5, loss=LossSpec("absolute")).default_quad_order() == 121
+    # kinked losses need no higher order: their integrals are split at the kinks
+    for loss in (QUAD, HUBER, LossSpec("absolute")):
+        assert m_spec(0.5, loss=loss).default_quad_order() == 61
     lasso = ProblemSpec("lasso", kappa=0.5, prior=point_mass(0.0), sigma_star=1.0)
-    assert lasso.default_quad_order() == 121
+    assert lasso.default_quad_order() == 61
+    assert ProblemSpec("logistic", kappa=0.2, r_star=1.0).default_quad_order() == 61
     assert dataclasses.replace(m_spec(0.5, loss=QUAD), quad_order=31).rule().order == 31
 
 
@@ -127,6 +130,23 @@ def test_m_cgmt_huber_mapped_point():
     mapped = map_parameters(sol, "m_cgmt", spec)
     r = residual_m_cgmt(mapped, spec)
     assert np.max(np.abs(r)) < 1e-6
+
+
+@pytest.mark.parametrize("noise", [gaussian(0.0, 1.0), two_point(1.0, 0.5)],
+                         ids=lambda n: n.kind)
+@pytest.mark.parametrize("system", ["m_loo", "m_amp", "m_cgmt"])
+def test_absolute_loss_needs_no_higher_order(system, noise):
+    # the kinks are panel edges, so the default order is as good as four
+    # times it at the solved roots, up to the edge of the kappa range
+    from hdse.solving import solve_system
+
+    for kappa in (0.1, 0.5, 0.9, 0.95):
+        spec = ProblemSpec("m_estimator", kappa=kappa, loss=LossSpec("absolute"), noise=noise)
+        sol = solve_system(system, spec)
+        root = np.array([sol.params[n] for n in SYSTEMS[system].params])
+        base = SYSTEMS[system].residual(root, spec)
+        fine = SYSTEMS[system].residual(root, dataclasses.replace(spec, quad_order=244))
+        assert np.max(np.abs(base - fine)) <= 1e-11, (kappa, base, fine)
 
 
 def test_stein_interchange_cross_check():
@@ -267,14 +287,17 @@ def tensor_logistic_residual(system, point, spec, order):
         alpha1, sigma, lam = point
         q1, q2, wgt = bivariate_nodes(logistic_loo_covariance(spec, alpha1, sigma), rule)
         s1 = expit(q1)
-        _, rp, rpp = losses.prox(LossSpec("logistic_rho"), q2, lam, with_derivs=True)
+        rho = LossSpec("logistic_rho")
+        pr = losses.prox(rho, q2, lam)
+        rp, rpp = losses.loss_deriv(rho, pr), losses.loss_curvature(rho, pr)
         return np.array([np.sum(wgt * 2.0 * s1 * (lam * rp) ** 2) / k ** 2 - alpha1 ** 2,
                          np.sum(wgt * s1 * q1 * lam * rp),
                          np.sum(wgt * 2.0 * s1 / (1.0 + lam * rpp)) - (1.0 - k)])
     alpha2, mu, lam = point
     Z, V, wgt = zv_nodes(spec.r_star, rule)
-    _, ellp, ellpp = losses.prox(LossSpec("logistic_ell"), alpha2 * Z + mu * V, lam,
-                                 with_derivs=True)
+    ell = LossSpec("logistic_ell")
+    pe = losses.prox(ell, alpha2 * Z + mu * V, lam)
+    ellp, ellpp = losses.loss_deriv(ell, pe), losses.loss_curvature(ell, pe)
     return np.array([np.sum(wgt * V * ellp),
                      lam ** 2 * np.sum(wgt * ellp ** 2) - alpha2 ** 2 * k,
                      lam * np.sum(wgt * ellpp / (1.0 + lam * ellpp)) - k])
