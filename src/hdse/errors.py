@@ -35,10 +35,10 @@ class LikelyNonExistence(NonConvergence):
     """The requested state-equation root does not exist.
 
     Raised before any iteration: by the logistic solves when kappa is at or
-    above the closed-form existence boundary ``solving.kappa_critical(r_star)``,
-    past this maximum-likelihood phase transition, and by the lasso solves at
-    lambda_star = 0 where kappa = 1 (tau diverges) or, for ``lasso_cgmt``,
-    kappa > 1 (theta -> 0).
+    above the closed-form existence boundary
+    ``solving.kappa_critical(r_star, rule)``, past this maximum-likelihood
+    phase transition, and by the lasso solves at lambda_star = 0 where
+    kappa = 1 (tau diverges) or, for ``lasso_cgmt``, kappa > 1 (theta -> 0).
     """
 
 

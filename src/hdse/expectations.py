@@ -8,8 +8,9 @@ All state-equation integrals reduce to one of three shapes:
     closed form for the soft threshold (``soft_threshold_moments``, summed
     over the prior in ``systems.lasso_signal_moments``),
   * E[h(prox_rho(Y; t), Y)] over a Gaussian Y, integrated in the prox output
-    so that no prox is solved (``prox_rho_nodes``); the logistic systems sum
-    the other Gaussian direction given Y with Gauss-Hermite at each node.
+    so that no prox is solved at the nodes (``prox_rho_nodes``); the
+    logistic systems sum the other Gaussian direction given Y with
+    Gauss-Hermite at each node.
 
 ``bivariate_nodes`` (a correlated Gaussian pair) and ``zv_nodes`` (Z with
 the label-tilted V of density 2*phi(v)*sigmoid(r*v)) give tensor grids on
@@ -32,6 +33,7 @@ import numpy as np
 from scipy.special import expit, ndtr, roots_hermitenorm, roots_legendre
 
 from .errors import ConfigError, NumericError
+from .losses import rho_prox
 
 DISTRIBUTION_KINDS = ("point_mass", "gaussian", "two_point", "bernoulli_gaussian")
 
@@ -47,12 +49,9 @@ _CHOLESKY_JITTER = 1e-12
 # Panel edges of ``prox_rho_nodes``: prox outputs where sigmoid(p) bends
 # (+-16 keep the panels narrow where t*sigmoid'(p) still decays like e^-|p|),
 # and the multiples of sd whose preimages in p are edges (the outer two bound
-# the window).  Newton reaches a preimage from its monotone side within the
-# step cap for t up to ~1e4; one short of its root only moves an edge.
+# the window), solved to their roots by ``losses.rho_prox``.
 _SIGMOID_BENDS = np.array([-16.0, -8.0, -3.0, 0.0, 3.0, 8.0, 16.0])
 _PREIMAGE_SDS = np.array([-PANEL_HALFWIDTH, -7.0, -4.0, -2.0, 2.0, 4.0, 7.0, PANEL_HALFWIDTH])
-_PREIMAGE_STEPS = 12
-_PREIMAGE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -294,26 +293,6 @@ def expect_noise_zweighted(g, noise: DistributionSpec, tau, rule: QuadratureRule
     return expect_noise_sum(g, noise, tau, rule, kinks=kinks, zweighted=True)
 
 
-def _rho_preimage(y, t):
-    """p with p + t*sigmoid(p) = y, by Newton from its monotone side.
-
-    The map is concave for p > 0 and convex below, and its root is positive
-    iff y > t/2, so Newton from max(y - t, 0) or min(y, 0) converges
-    monotonically without a safeguard.  An entry stops once its step falls
-    to ``_PREIMAGE_TOL`` (so it does not depend on the other entries), or
-    after ``_PREIMAGE_STEPS`` steps, short of its root.
-    """
-    p = np.where(y > 0.5 * t, np.maximum(y - t, 0.0), np.minimum(y, 0.0))
-    for _ in range(_PREIMAGE_STEPS):
-        s = expit(p)
-        step = (p + t * s - y) / (1.0 + t * (s * (1.0 - s)))
-        moving = np.abs(step) > _PREIMAGE_TOL * (1.0 + np.abs(p))
-        if not moving.any():
-            break
-        p = np.where(moving, p - step, p)
-    return p
-
-
 def prox_rho_nodes(sd, t, order: int):
     """Nodes in the prox output for E[h(P, Y)], P = prox_rho(Y; t), Y ~ N(0, sd^2).
 
@@ -325,7 +304,8 @@ def prox_rho_nodes(sd, t, order: int):
     needs no prox at the nodes.  ``sd`` and ``t`` hold one value per row.
     The p-axis runs over the preimage of the +-PANEL_HALFWIDTH sd window of
     Y and is cut into Gauss-Legendre panels of max(16, order // 4) nodes at
-    the preimages of y = +-2, 4, 7 sd and at the bends of the sigmoid; bends
+    the preimages of y = +-2, 4, 7 sd and at the bends of the sigmoid; the 8
+    preimages per row are the only prox solves, one ``rho_prox`` call.  Bends
     outside the window leave zero-width panels, so every row has the same
     node count.  Returns ``(y, sig, w)`` at the nodes p, each of shape
     (m, nodes), with sig = sigmoid(p): E[h(P, Y)] = sum w * h(p, y) over the
@@ -334,7 +314,7 @@ def prox_rho_nodes(sd, t, order: int):
     sd = np.asarray(sd, dtype=float)[:, None]
     t = np.asarray(t, dtype=float)[:, None]
     m = sd.shape[0]
-    ends = _rho_preimage(sd * _PREIMAGE_SDS, t)
+    ends = rho_prox(sd * _PREIMAGE_SDS, t)
     lo, hi = ends[:, :1], ends[:, -1:]
     bends = np.broadcast_to(_SIGMOID_BENDS, (m, _SIGMOID_BENDS.size))
     cuts = np.clip(np.concatenate([ends[:, 1:-1], bends], axis=1), lo, hi)

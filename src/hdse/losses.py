@@ -25,13 +25,12 @@ from .errors import NumericError
 
 LOSS_KINDS = ("quadratic", "absolute", "huber", "logistic_rho", "logistic_ell")
 
-# Iteration cap of the inner solve for the logistic proximal maps.  The scalar
-# equation is strictly monotone, so the bracket never fails; on grids of
-# quadrature-scale arguments (sd up to ~10) the safeguarded Newton takes at
-# most 10 iterations for t <= 30 and 50 at t = 1e12.  Exhausting the cap
-# raises NumericError instead of returning an unconverged prox.  The logistic
-# state equations integrate in the prox output and do not call it; the M
-# systems with a logistic loss do.
+# Iteration cap of ``rho_prox``.  Newton from the monotone side takes about
+# log(t) + 5 steps: at most 7 on grids of quadrature-scale arguments (sd up
+# to ~10) for t <= 30, and 29 at t = 1e12.  Exhausting the cap raises
+# NumericError instead of returning an unconverged prox.  The logistic state
+# equations integrate in the prox output and solve only its panel edges; the
+# M systems with a logistic loss solve the prox at every node.
 PROX_MAX_ITER = 100
 
 
@@ -157,53 +156,40 @@ def loss_curvature(loss: LossSpec, x):
 
 def _prox_logistic(loss: LossSpec, x: np.ndarray, t):
     # ell is solved through the reflection prox_ell(x) = -prox_rho(-x), so the
-    # inner loop only evaluates sigmoid(p), never the cancelling
-    # sigmoid(p) - 1, whose absolute error times t keeps large-t ell solves
-    # from reaching tol.
+    # Newton steps only evaluate sigmoid(p), never the cancelling
+    # sigmoid(p) - 1, whose absolute error times t would swamp the step test
+    # of large-t ell solves.
     if loss.kind == "logistic_ell":
-        return -_prox_rho(-x, t)
-    return _prox_rho(x, t)
+        return -rho_prox(-x, t)
+    return rho_prox(x, t)
 
 
-def _prox_rho(x: np.ndarray, t):
-    # Solve p + t*sigmoid(p) = x for p. sigmoid is bounded in (0,1), which
-    # gives the width-t bracket [x - t, x].  Newton steps are accepted only
-    # when they stay inside the bracket and at least halve the previous step,
-    # otherwise the bracket is bisected; this rules out the oscillation
-    # Newton is prone to at large t.  Entries already within tol
-    # skip that safeguard and take the plain (tiny) Newton step: their
-    # candidate sits on a bracket end and their previous step is ~0, so the
-    # safeguard would bisect them away from the root every iteration.
-    if np.ndim(t) > 0:
-        # A per-row t solves row by row: a row's iterate must not depend on
-        # how long the other rows take, and one row's grid stays in cache.
-        return np.array([_prox_rho(xi, float(ti)) for xi, ti in zip(x, np.ravel(t))])
-    lo, hi = x - t, x.copy()
-    p = np.clip(x - t * expit(x), lo, hi)
-    step_prev = np.full_like(x, 2.0 * t)
-    tol = 1e-14 * (1.0 + np.abs(x))
+def rho_prox(y, t):
+    """p with p + t*sigmoid(p) = y, elementwise, by Newton from its monotone side.
+
+    The map is concave for p > 0 and convex below, and its root is positive
+    iff y > t/2, so Newton from max(y - t, 0) or min(y, 0) converges
+    monotonically without a safeguard.  Each entry takes its step and stops
+    once the step toward the root falls to 1e-13*(1 + |p|), so its iterate
+    never depends on the other entries; a step back is rounding noise at
+    the root (at large t, y's rounding alone), so it stops the entry too.
+    ``t`` broadcasts against ``y``.  Running out of ``PROX_MAX_ITER`` steps
+    raises NumericError.
+    """
+    left = y > 0.5 * t
+    p = np.where(left, np.maximum(y - t, 0.0), np.minimum(y, 0.0))
+    ahead = np.where(left, -1.0, 1.0)  # the sign of every exact step
+    moving = np.ones(p.shape, dtype=bool)
     for _ in range(PROX_MAX_ITER):
         s = expit(p)
-        f = p + t * s - x
-        df = 1.0 + t * s * (1.0 - s)
-        # Within tol, or within one float spacing of the root by the Newton
-        # estimate: at large t the rounding of p + t*s alone can exceed tol.
-        done = np.abs(f) <= np.maximum(tol, df * np.abs(np.spacing(p)))
-        if done.all():
+        step = (p + t * s - y) / (1.0 + t * (s * (1.0 - s)))
+        p = np.where(moving, p - step, p)
+        moving &= ahead * step > 1e-13 * (1.0 + np.abs(p))
+        if not moving.any():
             return p
-        pos = f > 0
-        hi = np.where(pos, p, hi)
-        lo = np.where(pos, lo, p)
-        newton = p - f / df
-        bisect = ~done & ((np.abs(2.0 * f) > np.abs(step_prev * df))
-                          | (newton <= lo) | (newton >= hi))
-        cand = np.where(bisect, 0.5 * (lo + hi), newton)
-        step_prev = np.abs(cand - p)
-        p = cand
-    worst = float(np.max(np.abs(f) / tol))
     raise NumericError(
-        f"logistic prox at t={t:g} not within tol after {PROX_MAX_ITER} iterations "
-        f"(worst |f|/tol = {worst:.3g})")
+        f"logistic prox at t up to {np.max(t):g} not converged after {PROX_MAX_ITER} "
+        f"Newton steps")
 
 
 def prox(loss: LossSpec, x, t):

@@ -20,9 +20,9 @@ computed as a call of its own would compute it.
 The M-estimation systems push the quadrature nodes of all rows through the
 loss in one pass, and the lasso moments are elementwise.  The logistic
 systems condition on the one Gaussian combination their prox sees: each row
-integrates it in the prox output (``prox_rho_nodes``, no prox solve) with a
-Gauss-Hermite sum over the other direction at every outer node, so the rows
-also stack, at a cost of rows x outer nodes x inner nodes.
+integrates it in the prox output (``prox_rho_nodes``, no prox solve at the
+nodes) with a Gauss-Hermite sum over the other direction at every outer
+node, so the rows also stack, at a cost of rows x outer nodes x inner nodes.
 
 A system's parameter names and domain are declared once, in its ``SYSTEMS``
 entry: ``_unpack`` checks each column against its ``positive`` (> 0 and

@@ -259,13 +259,16 @@ def test_soft_threshold_moments_zero_threshold():
 
 
 @pytest.mark.parametrize("sd,t", [(1.0, 0.5), (3.0, 4.0), (15.0, 27.0), (28.0, 56.0),
-                                  (0.5, 200.0), (1.0, 1e4), (2.0, 1e-8)])
+                                  (0.5, 200.0), (1.0, 1e4), (2.0, 1e-8), (5.0, 1e8),
+                                  (0.5, 1e12)])
 def test_prox_rho_nodes_against_adaptive_quadrature(sd, t):
-    # t >> sd puts the whole window of Y inside the sigmoid's bend; the oracle
-    # solves the prox at every point scipy's adaptive rule asks for
+    # t >> sd puts the whole window of Y inside the sigmoid's bend, and at
+    # t = 1e8, 1e12 its edges take 20-30 Newton steps; the oracle solves the
+    # prox at every point scipy's adaptive rule asks for
     y, sig, w = (a[0] for a in prox_rho_nodes(np.array([sd]), np.array([t]), 61))
     p_nodes = y - t * sig
     rho = LossSpec("logistic_rho")
+    breaks = [b for b in (0.0, 0.5 * t, t) if b < 12.0 * sd]
 
     def oracle(h):
         def f(v):
@@ -273,7 +276,7 @@ def test_prox_rho_nodes_against_adaptive_quadrature(sd, t):
             s = loss_deriv(rho, p)
             return np.exp(-0.5 * (v / sd) ** 2) / (np.sqrt(2.0 * np.pi) * sd) * h(p, s, v)
 
-        return quad(f, -12.0 * sd, 12.0 * sd, points=(0.0, 0.5 * t, t), limit=400,
+        return quad(f, -12.0 * sd, 12.0 * sd, points=breaks, limit=400,
                     epsabs=1e-13, epsrel=1e-12)[0]
 
     for got, h in ((w.sum(), lambda p, s, v: 1.0),

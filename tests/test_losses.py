@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from scipy.special import expit
 
 import hdse.losses
+from hdse.errors import NumericError
 from hdse.expectations import bivariate_nodes, zv_nodes
 from hdse.losses import (
     LossSpec,
@@ -120,14 +121,35 @@ def test_prox_logistic_against_brentq_oracle(kind, t):
 
 
 def test_prox_logistic_large_scale_converges():
-    # at large t the rounding of p + t*sigmoid(p) alone exceeds the residual
-    # tol; the solve still stops at the rounded root instead of the cap
+    # at large t the root lies ~log(t) from the Newton start, 16-29 steps for
+    # t = 1e6-1e12; the solve must reach it, not the cap
     x = np.random.default_rng(17).normal(0.0, 20.0, 4000)
-    for t in (1e6, 1e8):
+    for t in (1e6, 1e8, 1e12):
         p = prox(LossSpec("logistic_rho"), x, t)
         assert np.max(np.abs(p + t * expit(p) - x) / (1.0 + np.abs(p))) < 1e-14
         p = prox(LossSpec("logistic_ell"), x, t)
         assert np.max(np.abs(p - t * expit(-p) - x) / (1.0 + np.abs(p))) < 1e-14
+
+
+def test_prox_logistic_stops_at_the_rounded_root():
+    # near x = t the root sits where t*sigmoid'(p) is small, so the rounding
+    # of p + t*sigmoid(p) moves the Newton step by more than its tolerance:
+    # the iterate steps back and forth around the rounded root and must stop
+    # there, within a few ulps of x, not run into the cap
+    t = np.logspace(4, 13, 19)
+    for d in (-40.0, -20.0, 20.0, 40.0):
+        x = t + d
+        p = prox(LossSpec("logistic_rho"), x, t)
+        assert np.all(np.abs(p + t * expit(p) - x) <= 4.0 * np.spacing(x))
+        p = prox(LossSpec("logistic_ell"), -x, t)
+        assert np.all(np.abs(p - t * expit(-p) + x) <= 4.0 * np.spacing(x))
+
+
+def test_prox_logistic_cap_raises(monkeypatch):
+    # t = 1e12 takes ~29 Newton steps; two are not enough
+    monkeypatch.setattr(hdse.losses, "PROX_MAX_ITER", 2)
+    with pytest.raises(NumericError):
+        prox(LossSpec("logistic_rho"), np.linspace(-5.0, 5.0, 11), 1e12)
 
 
 def test_prox_rejects_bad_scale():

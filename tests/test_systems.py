@@ -255,16 +255,24 @@ def test_logistic_cgmt_second_equation_sign():
 
 
 def test_logistic_residuals_run_no_prox_solve(monkeypatch):
-    # both residuals integrate in the prox output, so no prox is solved, and
-    # each makes one sigmoid pass over its (rows, outer nodes, inner nodes)
-    # grid for the inner sums
+    # both residuals integrate in the prox output, so no prox is solved at the
+    # nodes: the one solve is of the (rows, 8) stack of panel edges; and each
+    # makes one sigmoid pass over its (rows, outer nodes, inner nodes) grid
+    # for the inner sums
+    import hdse.expectations
     import hdse.losses
     import hdse.systems
 
-    def no_prox(*args):
-        raise AssertionError("a logistic residual solved a prox")
+    solves = []
+    real_solve = hdse.losses.rho_prox
 
-    monkeypatch.setattr(hdse.losses, "_prox_rho", no_prox)
+    def counted_solve(y, t):
+        solves.append(np.shape(y))
+        return real_solve(y, t)
+
+    # the prox maps look the solver up in losses, prox_rho_nodes in expectations
+    monkeypatch.setattr(hdse.losses, "rho_prox", counted_solve)
+    monkeypatch.setattr(hdse.expectations, "rho_prox", counted_solve)
     calls = []
     real = hdse.systems.expit
     monkeypatch.setattr(hdse.systems, "expit",
@@ -274,7 +282,9 @@ def test_logistic_residuals_run_no_prox_solve(monkeypatch):
     for residual, point in ((residual_logistic_loo, [2.0, 1.1, 0.4]),
                             (residual_logistic_cgmt, [1.0, 1.1, 0.4])):
         calls.clear()
+        solves.clear()
         residual(np.array([point, point]), spec)
+        assert solves == [(2, 8)]
         assert len(calls) == 1 and calls[0][0] == 2 and calls[0][-1] == n
 
 
