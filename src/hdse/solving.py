@@ -17,6 +17,7 @@ front (``require_existence``): for the logistic systems at or above the closed-f
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit, ndtr
@@ -141,24 +142,23 @@ def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None):
 
 def _grid_search_logistic(sdef: SystemDef, spec: ProblemSpec):
     # alpha1 starts at 1 + kappa; sigma is scanned coarsely on logistic_loo
-    # coordinates, each candidate mapped to the system being solved.
+    # coordinates, each candidate mapped to the system being solved, and all
+    # candidates are evaluated as one stack.  No candidate can leave the
+    # SYSTEMS domain: alpha1 = 1 + kappa, sigma in [0.25, 2] and
+    # lam1 = kappa/(1 - kappa) are positive and finite for 0 < kappa < 1, and so
+    # are their logistic_cgmt images sqrt(kappa)*alpha1, r_star*sigma, lam1.
     lam0 = spec.kappa / (1.0 - spec.kappa)
-    grid = np.arange(1, 9) * 0.25
-    best, best_norm = None, np.inf
-    for g in grid:
-        cand = {"alpha1": 1.0 + spec.kappa, "sigma": g, "lam1": lam0}
-        if sdef.name != "logistic_loo":
-            cand = map_params(cand, "logistic_loo", sdef.name, spec)
-        vec = np.array([cand[n] for n in sdef.params])
-        try:
-            norm = float(np.max(np.abs(sdef.residual(vec, spec))))
-        except (ValueError, NumericError):
-            continue
-        if norm < best_norm:
-            best, best_norm = vec, norm
-    if best is None:
+    cands = [{"alpha1": 1.0 + spec.kappa, "sigma": g, "lam1": lam0}
+             for g in np.arange(1, 9) * 0.25]
+    if sdef.name != "logistic_loo":
+        cands = [map_params(c, "logistic_loo", sdef.name, spec) for c in cands]
+    stack = np.array([[c[n] for n in sdef.params] for c in cands])
+    norms = np.max(np.abs(sdef.residual(stack, spec)), axis=1)
+    finite = np.isfinite(norms)
+    if not finite.any():
         raise NumericError(f"no feasible initialization found for {sdef.name}")
-    return best
+    # argmin keeps the first of equal norms, as a scan in grid order did
+    return stack[np.argmin(np.where(finite, norms, np.inf))]
 
 
 def auto_init(system: str, spec: ProblemSpec, opts: SolverOptions | None = None) -> np.ndarray:
@@ -210,6 +210,7 @@ def _clamp_for(sdef: SystemDef):
     return clamp
 
 
+@lru_cache(maxsize=16)
 def kappa_critical(r_star: float, rule: QuadratureRule) -> float:
     """Logistic existence boundary kappa_c(r) = min_t E[(Z - t V)_+^2].
 
@@ -217,7 +218,9 @@ def kappa_critical(r_star: float, rule: QuadratureRule) -> float:
     it (Candes & Sur, Ann. Statist. 2020); V is the label-tilted variable,
     with density 2*phi(v)*sigmoid(r*v).  Given V the Z-integral is closed
     form, E[(Z - a)_+^2] = (1 + a^2) Phi(-a) - a phi(a) with a = t V, so
-    only V is integrated, on ``rule`` with the tilt in its weights.
+    only V is integrated, on ``rule`` with the tilt in its weights.  Values
+    are memoized per (r_star, rule); a rule is keyed by identity, and
+    ``gauss_hermite`` returns one rule object per order.
     """
     from scipy.optimize import minimize_scalar  # deferred: costs ~0.25 s of CLI import
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import losses
 from .errors import ConfigError, StateError
@@ -356,6 +355,25 @@ def residual_lasso_cgmt(p, spec: ProblemSpec) -> np.ndarray:
 # Logistic systems
 
 
+def _inner_sigmoid_sums(a, b, rule: QuadratureRule):
+    """Gauss-Hermite sums of sigmoid(x) and u*sigmoid(x) over the inner nodes
+    u, for x = a + b*u with ``a`` of shape (rows, outer nodes) and ``b`` one
+    value per row; sum w*x*sigmoid(x) is a*first + b*second.
+
+    -x is built on the (rows, outer, inner) grid, and sigmoid(x) =
+    1/(1 + exp(-x)) is formed in place, one ``exp`` per node: where exp(-x)
+    overflows to inf the sigmoid is 0, its exact limit, so no NaN can arise.
+    Both sums come from one product of that grid with [w, w*u].
+    """
+    grid = (-a)[..., None] + (-b)[:, None, None] * rule.nodes
+    with np.errstate(over="ignore"):
+        np.exp(grid, out=grid)
+    grid += 1.0
+    np.reciprocal(grid, out=grid)
+    sums = grid @ np.stack([rule.weights, rule.weights * rule.nodes], axis=1)
+    return sums[..., 0], sums[..., 1]
+
+
 def logistic_loo_covariance(spec: ProblemSpec, alpha1: float, sigma: float) -> np.ndarray:
     """Covariance of the (true logit, negative fitted logit) Gaussian pair.
 
@@ -384,12 +402,9 @@ def residual_logistic_loo(p, spec: ProblemSpec) -> np.ndarray:
     c, v = -sigma * r2 / s2, r2 * alpha1 ** 2 * k / s2
     rule = spec.rule()
     q2, rp, w = prox_rho_nodes(np.sqrt(s2), lam, rule.order)
-    # (rows, outer nodes, inner nodes) grids, at most two alive at once
-    q1 = c[:, None, None] * q2[..., None] + np.sqrt(v)[:, None, None] * rule.nodes
-    s1 = expit(q1)
-    e_s1 = np.vecdot(s1, rule.weights)           # E[sigmoid(Q1) | Q2]
-    s1 *= q1
-    e_q1s1 = np.vecdot(s1, rule.weights)         # E[Q1 sigmoid(Q1) | Q2]
+    cq2, sv = c[:, None] * q2, np.sqrt(v)
+    e_s1, e_us1 = _inner_sigmoid_sums(cq2, sv, rule)   # E[sigmoid(Q1) | Q2], E[U ...]
+    e_q1s1 = cq2 * e_s1 + sv[:, None] * e_us1          # E[Q1 sigmoid(Q1) | Q2]
     lam_c = lam[:, None]
     lrp = lam_c * rp
     rpp = rp * (1.0 - rp)
@@ -413,13 +428,10 @@ def residual_logistic_cgmt(p, spec: ProblemSpec) -> np.ndarray:
     s = np.hypot(alpha2, mu)
     rule = spec.rule()
     y, sp, w = prox_rho_nodes(s, lam, rule.order)
-    # (rows, outer nodes, inner nodes) grids, at most two alive at once
-    vv = (-mu / s ** 2)[:, None, None] * y[..., None] + (alpha2 / s)[:, None, None] * rule.nodes
-    tilt = spec.r_star * vv
-    expit(tilt, out=tilt)
-    e_t = 2.0 * np.vecdot(tilt, rule.weights)    # E[2 sigmoid(r V) | Y]
-    tilt *= vv
-    e_vt = 2.0 * np.vecdot(tilt, rule.weights)   # E[V 2 sigmoid(r V) | Y]
+    ay, b = (-mu / s ** 2)[:, None] * y, alpha2 / s     # V = ay + b*U2
+    t0, t1 = _inner_sigmoid_sums(spec.r_star * ay, spec.r_star * b, rule)
+    e_t = 2.0 * t0                                      # E[2 sigmoid(r V) | Y]
+    e_vt = 2.0 * (ay * t0 + b[:, None] * t1)            # E[V 2 sigmoid(r V) | Y]
     spp = sp * (1.0 - sp)
     return _rows([
         -np.vecdot(e_vt * sp, w),

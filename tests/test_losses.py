@@ -90,8 +90,8 @@ def _se_logistic_grids():
 
 @pytest.mark.parametrize("kind", ["logistic_rho", "logistic_ell"])
 def test_prox_logistic_inner_iterations_bounded(kind, monkeypatch):
-    # one sigmoid evaluation per inner iteration, plus the start; converged
-    # entries must not be bisected away from the root while others finish
+    # one sigmoid evaluation per Newton step; an entry that has converged
+    # must keep its iterate while the others take further steps
     calls = []
     real = hdse.losses.expit
     monkeypatch.setattr(hdse.losses, "expit", lambda z: calls.append(1) or real(z))

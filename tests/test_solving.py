@@ -1,5 +1,6 @@
 """Newton solver, finite-difference Jacobian, fallback, and diagnostics."""
 
+import dataclasses
 import math
 import time
 
@@ -100,6 +101,25 @@ def test_auto_init_unknown_system():
         solve_system("lasso_amp", spec)  # model mismatch
 
 
+def test_logistic_start_is_the_first_best_finite_candidate(monkeypatch):
+    # the start scans sigma over 0.25, 0.5, ..., 2 in one stacked call: rows
+    # with sigma < 1 are non-finite and skipped, and of the tie between 1.25
+    # and 1.5 the first in grid order wins
+    spec = ProblemSpec("logistic", kappa=0.2, r_star=1.0)
+
+    def residual(p, spec):
+        sigma = np.atleast_2d(p)[:, 1:2]
+        return np.where(sigma < 1.0, np.nan, np.abs(sigma - 1.375)) * np.ones(3)
+
+    sdef = SYSTEMS["logistic_loo"]
+    monkeypatch.setitem(SYSTEMS, "logistic_loo", dataclasses.replace(sdef, residual=residual))
+    assert auto_init("logistic_loo", spec)[1] == 1.25
+    monkeypatch.setitem(SYSTEMS, "logistic_loo", dataclasses.replace(
+        sdef, residual=lambda p, spec: np.full((len(np.atleast_2d(p)), 3), np.inf)))
+    with pytest.raises(NumericError, match="no feasible initialization"):
+        auto_init("logistic_loo", spec)
+
+
 def test_kappa_walk_solves_absolute_loss_near_one():
     # Newton from auto_init stalls here; the solve must go through the kappa walk.
     spec = ProblemSpec("m_estimator", kappa=0.95, loss=LossSpec("absolute"),
@@ -192,6 +212,20 @@ def test_kappa_critical_against_a_high_order_rule(r_star):
     # a 61x61 tensor grid with the hinge on it gave 0.3449073 at r* = 2
     rule = ProblemSpec("logistic", kappa=0.1, r_star=r_star).rule()
     assert abs(kappa_critical(r_star, rule) - _hinge_minimum(r_star, 401)) <= 1e-9
+
+
+def test_kappa_critical_minimizes_once_per_radius_and_rule(monkeypatch):
+    # verify_equivalence asks for kappa_c once for the target and once in the
+    # solve; the minimization runs only the first time
+    import scipy.optimize
+
+    calls = []
+    real = scipy.optimize.minimize_scalar
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    rule = ProblemSpec("logistic", kappa=0.1, r_star=1.0).rule()
+    first = kappa_critical(0.77, rule)
+    assert kappa_critical(0.77, rule) == first and len(calls) == 1
 
 
 def test_kappa_critical_tends_to_cover_bound():

@@ -1,6 +1,7 @@
 """Residual systems: closed-form roots, cross-identities, domains, MSE extraction."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hdse.expectations import (
     gauss_hermite,
     gaussian,
     point_mass,
+    prox_rho_nodes,
     two_point,
     zv_nodes,
 )
@@ -256,9 +258,11 @@ def test_logistic_cgmt_second_equation_sign():
 
 def test_logistic_residuals_run_no_prox_solve(monkeypatch):
     # both residuals integrate in the prox output, so no prox is solved at the
-    # nodes: the one solve is of the (rows, 8) stack of panel edges; and each
-    # makes one sigmoid pass over its (rows, outer nodes, inner nodes) grid
-    # for the inner sums
+    # nodes: the one solve is of the (rows, 8) stack of panel edges; and the
+    # sigmoid on the (rows, outer nodes, inner nodes) grid comes from one
+    # numpy exp pass, so no module calls expit on an array of that rank
+    import scipy.special
+
     import hdse.expectations
     import hdse.losses
     import hdse.systems
@@ -274,18 +278,72 @@ def test_logistic_residuals_run_no_prox_solve(monkeypatch):
     monkeypatch.setattr(hdse.losses, "rho_prox", counted_solve)
     monkeypatch.setattr(hdse.expectations, "rho_prox", counted_solve)
     calls = []
-    real = hdse.systems.expit
-    monkeypatch.setattr(hdse.systems, "expit",
-                        lambda z, **kw: calls.append(np.shape(z)) or real(z, **kw))
+    real = scipy.special.expit
+    for module in (scipy.special, hdse.expectations, hdse.losses, hdse.systems):
+        if hasattr(module, "expit"):
+            monkeypatch.setattr(module, "expit",
+                                lambda z, **kw: calls.append(np.shape(z)) or real(z, **kw))
     spec = ProblemSpec("logistic", kappa=0.2, r_star=1.0)
-    n = spec.rule().order
     for residual, point in ((residual_logistic_loo, [2.0, 1.1, 0.4]),
                             (residual_logistic_cgmt, [1.0, 1.1, 0.4])):
         calls.clear()
         solves.clear()
         residual(np.array([point, point]), spec)
         assert solves == [(2, 8)]
-        assert len(calls) == 1 and calls[0][0] == 2 and calls[0][-1] == n
+        assert calls and all(len(shape) < 3 for shape in calls), calls
+
+
+def _conditioned_reference(system, p, spec):
+    """The conditioned logistic residuals with scipy's expit on the grid and
+    one vecdot per inner sum, written out independently of ``systems``."""
+    p = np.atleast_2d(p)
+    rule = spec.rule()
+    u, wu = rule.nodes, rule.weights
+    k = spec.kappa
+    if system == "logistic_loo":
+        alpha1, sigma, lam = p.T
+        r2 = spec.r_star ** 2
+        s2 = sigma ** 2 * r2 + alpha1 ** 2 * k
+        c, v = -sigma * r2 / s2, r2 * alpha1 ** 2 * k / s2
+        q2, rp, w = prox_rho_nodes(np.sqrt(s2), lam, rule.order)
+        q1 = c[:, None, None] * q2[..., None] + np.sqrt(v)[:, None, None] * u
+        e_s1 = np.vecdot(expit(q1), wu)
+        e_q1s1 = np.vecdot(q1 * expit(q1), wu)
+        lrp = lam[:, None] * rp
+        return np.array([np.vecdot(2.0 * e_s1 * lrp ** 2, w) / k ** 2 - alpha1 ** 2,
+                         np.vecdot(e_q1s1 * lrp, w),
+                         np.vecdot(2.0 * e_s1 / (1.0 + lam[:, None] * (rp * (1.0 - rp))), w)
+                         - (1.0 - k)]).T
+    alpha2, mu, lam = p.T
+    s = np.hypot(alpha2, mu)
+    y, sp, w = prox_rho_nodes(s, lam, rule.order)
+    vv = (-mu / s ** 2)[:, None, None] * y[..., None] + (alpha2 / s)[:, None, None] * u
+    tilt = expit(spec.r_star * vv)
+    e_t = 2.0 * np.vecdot(tilt, wu)
+    e_vt = 2.0 * np.vecdot(tilt * vv, wu)
+    spp = sp * (1.0 - sp)
+    return np.array([-np.vecdot(e_vt * sp, w),
+                     lam ** 2 * np.vecdot(e_t * sp ** 2, w) - alpha2 ** 2 * k,
+                     lam * np.vecdot(e_t * spp / (1.0 + lam[:, None] * spp), w) - k]).T
+
+
+@pytest.mark.parametrize("r_star", [10.0, 150.0])
+@pytest.mark.parametrize("fraction", [0.05, 0.99])
+def test_logistic_residuals_finite_at_extreme_signal(r_star, fraction):
+    # at r* = 150 the inner sigmoid argument reaches |x| ~ 2800 on these
+    # points, far past the 709 where exp(-x) overflows; the residuals must
+    # stay finite, warning-free, and equal to the expit form on log-uniform
+    # points spanning [1e-3, 1e3]^3
+    spec = ProblemSpec("logistic", r_star=r_star,
+                       kappa=fraction * solving.kappa_critical(r_star, gauss_hermite(61)))
+    points = 10.0 ** np.random.default_rng(16).uniform(-3.0, 3.0, size=(24, 3))
+    for system in ("logistic_loo", "logistic_cgmt"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = SYSTEMS[system].residual(points, spec)
+        ref = _conditioned_reference(system, points, spec)
+        assert np.isfinite(got).all(), system
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0)), system
 
 
 def tensor_logistic_residual(system, point, spec, order):
