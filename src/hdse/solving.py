@@ -3,8 +3,13 @@
 The workhorse is a damped Newton iteration on a central finite-difference
 Jacobian with positivity clamping; accepted steps never increase the residual
 max-norm.  A residual maps a stack of points, shape ``(m, n)``, to a stack of
-residuals, shape ``(m, n_eq)`` (see ``systems``), so one residual call
-evaluates all 2n difference points of a Jacobian.  Every system shares one
+residuals, shape ``(m, n_eq)`` (see ``systems``), so Newton evaluates every
+point, the start and each line-search trial, in one call on the (2n + 1, n)
+stack [x; x + h_i e_i; x - h_i e_i]: the first row decides acceptance, and an
+accepted trial's other 2n rows are the next Jacobian's difference points.
+The singularity test takes the condition number of the Jacobian with its rows
+and then its columns scaled to max |entry| 1, which leaves the Newton
+direction unchanged; a zero row or column is singular.  Every system shares one
 fallback: when Newton from the automatic start fails, the solve walks kappa
 up from near zero in steps of ``KAPPA_STEP`` and warm-starts Newton at each
 step from the previous root.
@@ -60,26 +65,56 @@ class SolverOptions:
             raise ConfigError("fd_step must be positive")
 
 
+def _fd_stack(x: np.ndarray, fd_step: float):
+    """The (2n + 1, n) stack [x; x + h_i e_i; x - h_i e_i] and the steps h.
+
+    The step is scaled per coordinate, h_i = fd_step * max(|x_i|, 1).
+    """
+    n = x.size
+    h = fd_step * np.maximum(np.abs(x), 1.0)
+    idx = np.arange(n)
+    points = np.empty((2 * n + 1, n))
+    points[:] = x
+    points[1 + idx, idx] += h
+    points[1 + n + idx, idx] -= h
+    return points, h
+
+
+def _fd_jacobian(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Central differences from the 2n difference rows of ``_fd_stack``."""
+    n = h.size
+    if not np.isfinite(rows).all():
+        bad = ~np.isfinite(rows).reshape(2, n, -1).all(axis=(0, 2))
+        raise NumericError(
+            f"non-finite residual while differencing coordinate {int(np.argmax(bad))}")
+    return ((rows[:n] - rows[n:]) / (2.0 * h)[:, None]).T
+
+
 def evaluate_jacobian_fd(residual, x, fd_step: float) -> np.ndarray:
     """Central-difference Jacobian, step scaled per coordinate.
 
     ``residual`` receives the 2n points x +- h_i e_i as one (2n, n) stack and
     must return one residual row per point.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    h = fd_step * np.maximum(np.abs(x), 1.0)
-    idx = np.arange(n)
-    points = np.empty((2 * n, n))
-    points[:] = x
-    points[idx, idx] += h
-    points[n + idx, idx] -= h
-    r = np.asarray(residual(points), dtype=float)
-    if not np.isfinite(r).all():
-        bad = ~np.isfinite(r).reshape(2, n, -1).all(axis=(0, 2))
-        raise NumericError(
-            f"non-finite residual while differencing coordinate {int(np.argmax(bad))}")
-    return ((r[:n] - r[n:]) / (2.0 * h)[:, None]).T
+    points, h = _fd_stack(np.asarray(x, dtype=float), fd_step)
+    return _fd_jacobian(np.asarray(residual(points[1:]), dtype=float), h)
+
+
+def _equilibrated_cond(jac: np.ndarray) -> float:
+    """Condition number of D_r J D_c, each row and then each column scaled to
+    max |entry| 1; a zero row or column is singular (inf).
+
+    Newton's direction J^-1 r does not change under this scaling, so the
+    singularity test should not either (van der Sluis, Numer. Math. 1969).
+    """
+    rows = np.max(np.abs(jac), axis=1)
+    if not (rows > 0.0).all():
+        return np.inf
+    scaled = jac / rows[:, None]
+    cols = np.max(np.abs(scaled), axis=0)
+    if not (cols > 0.0).all():
+        return np.inf
+    return float(np.linalg.cond(scaled / cols))
 
 
 def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None):
@@ -87,14 +122,23 @@ def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None):
 
     ``clamp`` maps a candidate iterate back into the feasible region.  Each
     line search tries the full step first, halving it down to
-    ``DAMPING_FLOOR``.  Returns ``(x, info)`` with iteration count, final
-    residual norm, and a condition estimate of the last Jacobian.
+    ``DAMPING_FLOOR``.  Every point, the start and each trial, is evaluated in
+    one residual call together with its 2n difference points; the centre row
+    decides acceptance, and the other rows give the next Jacobian.  Returns
+    ``(x, info)`` with iteration count, final residual norm, and the
+    equilibrated condition number of the last Jacobian.
     """
     opts = opts or SolverOptions()
+
+    def evaluate(point):
+        points, h = _fd_stack(point, opts.fd_step)
+        rows = np.asarray(residual(points), dtype=float)
+        return rows[0], rows[1:], h
+
     x = np.asarray(x0, dtype=float).copy()
     if clamp is not None:
         x = clamp(x)
-    r = np.asarray(residual(x), dtype=float)
+    r, diff_rows, h = evaluate(x)
     if not np.isfinite(r).all():
         raise NumericError("residual not finite at the initial point")
     norm = float(np.max(np.abs(r)))
@@ -102,8 +146,8 @@ def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None):
     for it in range(1, opts.max_iter + 1):
         if norm <= opts.tol:
             return x, {"iterations": it - 1, "residual_norm": norm, "jac_cond": jac_cond}
-        jac = evaluate_jacobian_fd(residual, x, opts.fd_step)
-        jac_cond = float(np.linalg.cond(jac))
+        jac = _fd_jacobian(diff_rows, h)
+        jac_cond = _equilibrated_cond(jac)
         if not np.isfinite(jac_cond) or jac_cond > 1e14:
             raise SingularJacobian(
                 f"Jacobian condition {jac_cond:.3g} at iteration {it}")
@@ -118,10 +162,10 @@ def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None):
             cand = x + step * direction
             if clamp is not None:
                 cand = clamp(cand)
-            rc = np.asarray(residual(cand), dtype=float)
+            rc, cand_rows, cand_h = evaluate(cand)
             nc = float(np.max(np.abs(rc))) if np.isfinite(rc).all() else np.inf
             if nc < norm:
-                x, r, norm = cand, rc, nc
+                x, r, norm, diff_rows, h = cand, rc, nc, cand_rows, cand_h
                 accepted = True
                 break
             step *= 0.5
@@ -200,12 +244,13 @@ def auto_init(system: str, spec: ProblemSpec, opts: SolverOptions | None = None)
 
 
 def _clamp_for(sdef: SystemDef):
-    # a lower bound per column, so a stack of points is clamped row by row
+    # bounds per column, so a stack of points is clamped row by row
     lower = np.array([POSITIVITY_FLOOR if n in sdef.positive else 0.0 if n in sdef.nonnegative
                       else -np.inf for n in sdef.params])
+    upper = np.array([1.0 if n in sdef.at_most_one else np.inf for n in sdef.params])
 
     def clamp(x):
-        return np.maximum(x, lower)
+        return np.minimum(np.maximum(x, lower), upper)
 
     return clamp
 

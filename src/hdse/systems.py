@@ -26,8 +26,8 @@ node, so the rows also stack, at a cost of rows x outer nodes x inner nodes.
 
 A system's parameter names and domain are declared once, in its ``SYSTEMS``
 entry: ``_unpack`` checks each column against its ``positive`` (> 0 and
-finite) and ``nonnegative`` (not < 0) sets, and the solver clamps iterates
-into them at ``POSITIVITY_FLOOR``.
+finite), ``nonnegative`` (not < 0) and ``at_most_one`` (not > 1) sets, and
+the solver clamps iterates into them (at ``POSITIVITY_FLOOR``, 0 and 1).
 """
 
 from __future__ import annotations
@@ -207,6 +207,8 @@ def _unpack(p, system: str):
                 raise ValueError(f"{name} must be positive, got {bad}")
         elif name in sdef.nonnegative and (col < 0).any():
             raise ValueError(f"{name} must be nonnegative, got {col[col < 0][0]}")
+        if name in sdef.at_most_one and (col > 1.0).any():
+            raise ValueError(f"{name} must be at most one, got {col[col > 1.0][0]}")
     return cols, single
 
 
@@ -330,8 +332,6 @@ def residual_lasso_amp(p, spec: ProblemSpec) -> np.ndarray:
 def residual_lasso_cgmt(p, spec: ProblemSpec) -> np.ndarray:
     """Six-equation CGMT system; the regularizer prox is the soft threshold."""
     (alpha, sigma, tau2, theta, lam, gamma2), single = _unpack(p, "lasso_cgmt")
-    if (theta > 1.0).any():  # the one bound SYSTEMS does not declare
-        raise ValueError(f"theta must lie in (0, 1], got {theta[theta > 1.0][0]}")
     k = spec.kappa
     s2 = spec.sigma_star ** 2
     R = k * spec.prior.second_moment()   # kappa * E[B^2]
@@ -454,6 +454,8 @@ class SystemDef:
     positive: tuple[str, ...]
     # parameters that must not be < 0; solves clamp them at 0
     nonnegative: tuple[str, ...] = ()
+    # parameters that must also not be > 1; solves clamp them at 1
+    at_most_one: tuple[str, ...] = ()
 
 
 POSITIVITY_FLOOR = 1e-8
@@ -470,7 +472,8 @@ SYSTEMS: dict[str, SystemDef] = {
                   ("tau1",), ("gamma1",)),
         SystemDef("lasso_cgmt", "lasso",
                   ("alpha", "sigma", "tau2", "theta", "lam", "gamma2"),
-                  residual_lasso_cgmt, ("sigma", "tau2", "theta", "gamma2"), ("lam",)),
+                  residual_lasso_cgmt, ("sigma", "tau2", "theta", "gamma2"), ("lam",),
+                  ("theta",)),
         SystemDef("logistic_loo", "logistic", ("alpha1", "sigma", "lam1"),
                   residual_logistic_loo, ("alpha1", "sigma", "lam1")),
         SystemDef("logistic_cgmt", "logistic", ("alpha2", "mu", "lam2"),

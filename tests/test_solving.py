@@ -7,11 +7,19 @@ import time
 import numpy as np
 import pytest
 
-from hdse.errors import ConfigError, LikelyNonExistence, NonConvergence, NumericError
+from hdse.errors import (
+    ConfigError,
+    LikelyNonExistence,
+    NonConvergence,
+    NumericError,
+    SingularJacobian,
+)
 from hdse.expectations import bernoulli_gaussian, gaussian, point_mass
 from hdse.losses import LossSpec
 from hdse.solving import (
     SolverOptions,
+    _clamp_for,
+    _kappa_walk,
     auto_init,
     evaluate_jacobian_fd,
     kappa_critical,
@@ -168,6 +176,63 @@ def test_explicit_start_failure_raises_without_walk():
     with pytest.raises((NonConvergence, NumericError)):
         solve_system("m_loo", spec, x0=start)
     assert solve_system("m_loo", spec, x0="auto").converged
+
+
+LASSO_CGMT_GRID_KAPPAS = [round(1.05 + 0.25 * i, 2) for i in range(32)]   # 1.05 .. 8.80
+
+
+@pytest.mark.parametrize("lambda_star", [0.001, 0.003, 0.005, 0.01])
+def test_lasso_cgmt_solves_beyond_kappa_one_at_small_penalty(lambda_star):
+    # The mapped lasso_amp start is a root whose parameters span seven decades
+    # (theta ~ 3e-4, lam ~ 3e3 at kappa = 5); only the equilibrated Jacobian
+    # passes the singularity test there.  The lasso_amp -> lasso_cgmt
+    # direction is left out: at kappa in [5.55, 6.55] and [8.3, 8.55] its
+    # fifth residual misses the 1e-7 tolerance at parent and change alike
+    # (the FOUND line on it in CHANGES.md).
+    failed = []
+    for kappa in LASSO_CGMT_GRID_KAPPAS:
+        spec = ProblemSpec("lasso", kappa=kappa, lambda_star=lambda_star,
+                           prior=bernoulli_gaussian(0.1, math.sqrt(10.0)),
+                           noise=gaussian(0.0, 1.0))
+        sol = solve_system("lasso_cgmt", spec)
+        if not sol.converged or not verify_equivalence("lasso_cgmt", "lasso_amp", spec).passed:
+            failed.append(kappa)
+    assert failed == []
+
+
+def test_kappa_walk_keeps_lasso_cgmt_trials_in_the_domain():
+    # walking kappa across 1 at lambda_star = 0.001, a line-search trial
+    # overshoots theta <= 1; the clamp keeps it in the domain, so the walk
+    # can fail only as a solve does
+    spec = ProblemSpec("lasso", kappa=5.0, lambda_star=0.001,
+                       prior=bernoulli_gaussian(0.1, math.sqrt(10.0)), noise=gaussian(0.0, 1.0))
+    sdef = SYSTEMS["lasso_cgmt"]
+    clamp = _clamp_for(sdef)
+    opts = SolverOptions()
+
+    def newton_from(start, at_spec):
+        return newton_solve(lambda v: sdef.residual(clamp(v), at_spec), start, opts,
+                            clamp=clamp)
+
+    try:
+        _kappa_walk("lasso_cgmt", spec, opts, newton_from)
+    except (NonConvergence, NumericError):
+        pass
+
+
+def test_singularity_test_ignores_row_and_column_scale():
+    # condition 1e16 unscaled, 1 equilibrated; Newton's direction is the same
+    def scaled(v):
+        return np.stack([1e-8 * (v[..., 0] - 2.0), 1e8 * v[..., 1]], axis=-1)
+
+    x, info = newton_solve(scaled, np.array([3.0, 1.0]))
+    assert info["residual_norm"] <= 1e-9 and info["jac_cond"] == pytest.approx(1.0)
+    assert x[0] == pytest.approx(2.0, abs=1e-6)
+    # a zero row or a zero column stays singular
+    for residual in (lambda v: np.stack([v[..., 0] - 2.0, 0.0 * v[..., 1] + 1.0], axis=-1),
+                     lambda v: np.stack([v[..., 0] - 2.0, v[..., 0] + 1.0], axis=-1)):
+        with pytest.raises(SingularJacobian, match="condition inf at iteration 1"):
+            newton_solve(residual, np.array([3.0, 1.0]))
 
 
 @pytest.mark.parametrize("system,kappa", [("lasso_amp", 1.0), ("lasso_cgmt", 1.0),

@@ -1,11 +1,10 @@
 """Stacked evaluation: a residual on an (m, n_params) stack equals m single calls.
 
-The finite-difference Jacobian sends all 2n difference points to the residual
-in one call, so every layer under it (losses, expectations, systems, the
-solver clamp) must give each row exactly what a call of its own would give.
+Newton sends each point it evaluates to the residual in one call together
+with its 2n finite-difference points, so every layer under it (losses,
+expectations, systems, the solver clamp) must give each row exactly what a
+call of its own would give.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -208,28 +207,29 @@ def test_stacked_jacobian_matches_per_column_oracle(name, spec, rows):
     np.testing.assert_allclose(jac, oracle, rtol=1e-12, atol=0.0)
 
 
-def test_newton_makes_one_stacked_call_per_iteration(monkeypatch):
+def test_newton_makes_one_stacked_call_per_point():
+    # every point Newton evaluates, the start and each line-search trial,
+    # comes with its 2n difference points: 1 + trials calls of (2n + 1, n)
     spec = ProblemSpec("m_estimator", kappa=0.3, loss=LossSpec("huber", delta=1.345),
                        noise=gaussian(0.0, 1.0))
     sdef = SYSTEMS["m_cgmt"]
-    shapes = []
+    clamp = solving._clamp_for(sdef)
+    shapes, clamped = [], []
 
-    def counted(p, at_spec):
+    def residual(p):
         shapes.append(np.shape(p))
-        return sdef.residual(p, at_spec)
+        return sdef.residual(clamp(p), spec)
 
-    monkeypatch.setitem(SYSTEMS, "m_cgmt", dataclasses.replace(sdef, residual=counted))
-    jacobians = []
-    real = solving.evaluate_jacobian_fd
-    monkeypatch.setattr(solving, "evaluate_jacobian_fd",
-                        lambda *a: jacobians.append(1) or real(*a))
-    sol = solving.solve_system("m_cgmt", spec, x0=[1.5, 0.6, 1.0])
-    stacked = [s for s in shapes if len(s) == 2]
-    assert sol.converged and sol.iterations >= 2
-    # per iteration: one stacked call for the Jacobian, then line-search trials
-    assert len(stacked) == len(jacobians) == sol.iterations
-    assert all(s == (6, 3) for s in stacked)
-    assert len(shapes) - len(stacked) >= 1 + sol.iterations
+    def counted_clamp(x):
+        # newton_solve clamps the start and each trial, once each
+        clamped.append(1)
+        return clamp(x)
+
+    x, info = newton_solve(residual, np.array([0.2, 3.0, 0.2]), clamp=counted_clamp)
+    trials = len(clamped) - 1
+    assert info["residual_norm"] <= 1e-9 and info["iterations"] >= 2
+    assert trials > info["iterations"]   # some trials were halved
+    assert shapes == [(7, 3)] * (1 + trials)
 
 
 def test_newton_rejects_a_residual_that_fails_a_difference_point():

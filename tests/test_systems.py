@@ -436,6 +436,8 @@ def _domain_violations():
                 yield name, param, value, "positive"
         for param in sdef.nonnegative:
             yield name, param, -1.0, "nonnegative"
+        for param in sdef.at_most_one:
+            yield name, param, 2.0, "at most one"
 
 
 @pytest.mark.parametrize("name,param,value,kind", list(_domain_violations()))
