@@ -37,10 +37,12 @@ class LikelyNonExistence(NonConvergence):
     Raised before any iteration: by the logistic solves when kappa is at or
     above the closed-form existence boundary
     ``solving.kappa_critical(r_star, rule)``, past this maximum-likelihood
-    phase transition, and by the lasso solves at lambda_star = 0 where
-    kappa = 1 (tau diverges) or, for ``lasso_cgmt``, kappa > 1 (theta -> 0).
+    phase transition; by the M solves with a monotone (logistic) loss at
+    kappa >= 1/2; and by the lasso solves at lambda_star = 0 where kappa = 1
+    (tau diverges) or, for ``lasso_cgmt``, kappa > 1 (theta -> 0).
     """
 
 
 class MleNonExistence(HdseError):
-    """Finite-sample logistic likelihood has no minimizer (separable data)."""
+    """Finite-sample logistic likelihood has no minimizer: some beta has every
+    margin y_i x_i' beta > 0, so the data are separable."""

@@ -19,6 +19,15 @@ from .systems import ProblemSpec
 
 DESIGN_VARIANCE = "1/n"
 
+# Stopping rules of the fits: the gradient (and lasso KKT) max-norm, the
+# largest coordinate move that ends a CD sweep or an AMP run, and the caps.
+GRADIENT_TOL = 1e-8
+CD_TOL = 1e-10
+AMP_TOL = 1e-9
+M_MAX_ITER = 100
+LOGISTIC_MAX_ITER = 200
+CD_MAX_SWEEPS = 20000
+AMP_MAX_ITER = 3000
 
 def make_rng(seed: int, replicate: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, replicate))))
@@ -91,7 +100,7 @@ def gen_logistic_data(spec: ProblemSpec, n: int, seed: int, replicate: int = 0) 
 # Fits
 
 
-def fit_m_estimator(data: Dataset, tol: float = 1e-8, max_iter: int = 100) -> np.ndarray:
+def fit_m_estimator(data: Dataset) -> np.ndarray:
     """Minimize sum_i loss(y_i - x_i' beta) by damped Newton from the OLS point.
 
     The OLS start is a Cholesky solve of the normal equations, which needs a
@@ -120,10 +129,10 @@ def fit_m_estimator(data: Dataset, tol: float = 1e-8, max_iter: int = 100) -> np
         return float(np.sum(losses.eval_loss(loss, y - X @ b)))
 
     obj = objective(beta)
-    for _ in range(max_iter):
+    for _ in range(M_MAX_ITER):
         r = y - X @ beta
         grad = -(X.T @ losses.loss_deriv(loss, r))
-        if float(np.max(np.abs(grad))) < tol:
+        if float(np.max(np.abs(grad))) < GRADIENT_TOL:
             return beta
         hess = _downdated_hessian(gram, X, losses.loss_curvature(loss, r), 1e-6)
         direction = cho_solve(cho_factor(hess, overwrite_a=True, check_finite=False), -grad,
@@ -140,9 +149,9 @@ def fit_m_estimator(data: Dataset, tol: float = 1e-8, max_iter: int = 100) -> np
             break
     r = y - X @ beta
     grad_norm = float(np.max(np.abs(X.T @ losses.loss_deriv(loss, r))))
-    if grad_norm >= tol:
+    if grad_norm >= GRADIENT_TOL:
         raise NonConvergence(f"m-estimator gradient stalled at {grad_norm:.3e}",
-                             best=beta, residual_norm=grad_norm, iterations=max_iter)
+                             best=beta, residual_norm=grad_norm, iterations=M_MAX_ITER)
     return beta
 
 
@@ -169,20 +178,7 @@ def _downdated_hessian(gram: np.ndarray, X: np.ndarray, w: np.ndarray,
     return hess
 
 
-def _newton_hessian(X: np.ndarray, w: np.ndarray, floor: float) -> np.ndarray:
-    """X' diag(w) X + floor * I for w >= 0.
-
-    Formed as (sqrt(w) X)'(sqrt(w) X) so BLAS runs syrk; the X-sized
-    scratch dies with this frame.
-    """
-    xw = X * np.sqrt(w)[:, None]
-    hess = xw.T @ xw
-    hess[np.diag_indices_from(hess)] += floor
-    return hess
-
-
-def fit_lasso_cd(data: Dataset, lambda_star: float, tol: float = 1e-10,
-                 max_sweeps: int = 20000) -> np.ndarray:
+def fit_lasso_cd(data: Dataset, lambda_star: float) -> np.ndarray:
     """Cyclic coordinate descent for 0.5||y - X beta||^2 + lambda*||beta||_1.
 
     Covariance-update form (Friedman, Hastie & Tibshirani 2010): the sweep
@@ -205,7 +201,7 @@ def fit_lasso_cd(data: Dataset, lambda_star: float, tol: float = 1e-10,
     # symmetric gram, but contiguous
     coords = [(j, cj, gram[j]) for j, cj in enumerate(gram.diagonal().tolist()) if cj != 0.0]
     beta = [0.0] * data.d
-    for _ in range(max_sweeps):
+    for _ in range(CD_MAX_SWEEPS):
         max_change = 0.0
         for j, cj, row in coords:
             old = beta[j]
@@ -216,16 +212,16 @@ def fit_lasso_cd(data: Dataset, lambda_star: float, tol: float = 1e-10,
                 daxpy(row, corr, a=-delta)  # updates corr in place
                 beta[j] = new
                 max_change = max(max_change, abs(delta))
-        if max_change < tol:
+        if max_change < CD_TOL:
             break
     else:
         raise NonConvergence("coordinate descent did not converge", best=np.array(beta),
-                             residual_norm=max_change, iterations=max_sweeps)
+                             residual_norm=max_change, iterations=CD_MAX_SWEEPS)
     beta = np.array(beta)
     kkt = kkt_residual_lasso(data, beta, lambda_star)
-    if kkt >= 1e-8:
+    if kkt >= GRADIENT_TOL:
         raise NonConvergence(f"coordinate descent finished with KKT residual {kkt:.3e}",
-                             best=beta, residual_norm=kkt, iterations=max_sweeps)
+                             best=beta, residual_norm=kkt, iterations=CD_MAX_SWEEPS)
     return beta
 
 
@@ -233,18 +229,11 @@ def kkt_residual_lasso(data: Dataset, beta: np.ndarray, lambda_star: float) -> f
     """Max violation of the first-order conditions of the l1 problem."""
     g = data.design.T @ (data.design @ beta - data.response)
     active = beta != 0.0
-    viol_active = np.abs(lambda_star * np.sign(beta[active]) + g[active])
-    viol_inactive = np.maximum(np.abs(g[~active]) - lambda_star, 0.0)
-    worst = 0.0
-    if viol_active.size:
-        worst = float(np.max(viol_active))
-    if viol_inactive.size:
-        worst = max(worst, float(np.max(viol_inactive)))
-    return worst
+    viol = np.concatenate([np.abs(lambda_star * np.sign(beta[active]) + g[active]),
+                           np.maximum(np.abs(g[~active]) - lambda_star, 0.0)])
+    return float(np.max(viol, initial=0.0))
 
-
-def amp_lasso(data: Dataset, lambda_star: float, tol: float = 1e-9,
-              max_iter: int = 3000):
+def amp_lasso(data: Dataset, lambda_star: float):
     """AMP recursion with the memory (Onsager) correction on the residual.
 
     The correction uses the average of the threshold derivative: the update
@@ -264,7 +253,7 @@ def amp_lasso(data: Dataset, lambda_star: float, tol: float = 1e-9,
     z = y.copy()
     gamma = 0.0
     trajectory = [(0, gamma, float(np.linalg.norm(z) / np.sqrt(n)))]
-    for it in range(1, max_iter + 1):
+    for it in range(1, AMP_MAX_ITER + 1):
         pseudo = beta + X.T @ z
         thresh = lambda_star + gamma
         new_beta, deriv = losses.soft_threshold(pseudo, thresh)
@@ -276,17 +265,20 @@ def amp_lasso(data: Dataset, lambda_star: float, tol: float = 1e-9,
         trajectory.append((it, gamma, float(np.linalg.norm(z) / np.sqrt(n))))
         if not np.isfinite(change) or np.linalg.norm(beta) > 1e8:
             return AmpState(beta, z, gamma, it, diverged=True), trajectory
-        if change < tol:
+        if change < AMP_TOL:
             return AmpState(beta, z, gamma, it, converged=True), trajectory
-    return AmpState(beta, z, gamma, max_iter), trajectory
+    return AmpState(beta, z, gamma, AMP_MAX_ITER), trajectory
 
 
-def fit_logistic_mle(data: Dataset, tol: float = 1e-8, max_iter: int = 200) -> np.ndarray:
+def fit_logistic_mle(data: Dataset) -> np.ndarray:
     """Damped Newton on the empirical logistic loss (1/n) sum ell(y_i x_i' beta).
 
-    Raises MleNonExistence when the iterates run off to infinity while the
-    gradient stays bounded away from zero, the finite-sample signature of
-    separable data.
+    Raises MleNonExistence on a beta with every margin y_i x_i' beta > 0:
+    such a beta separates the data, so no minimizer exists, and at a
+    minimizer some margin is <= 0.  Every Newton iterate is checked, from
+    margins the step needs anyway.  After a stall or LOGISTIC_MAX_ITER steps
+    the max-margin LP point is checked, and NonConvergence is raised if it
+    does not separate.
     """
     from scipy.special import expit
 
@@ -297,30 +289,25 @@ def fit_logistic_mle(data: Dataset, tol: float = 1e-8, max_iter: int = 200) -> n
     def objective(b):
         return float(np.mean(np.logaddexp(0.0, -(y * (X @ b)))))
 
-    def check_separation(b, grad_norm):
-        # A point classifying every sample with near-zero loss certifies that
-        # the data are separable: any multiple of it decreases the objective,
-        # so the vanishing gradient is the escape to infinity, not a root.
-        margins = y * (X @ b)
-        if np.all(margins > 0) and objective(b) < 1e-6:
-            raise MleNonExistence(
-                f"all margins positive with mean loss {objective(b):.3e} "
-                f"(gradient {grad_norm:.1e}); data are separable")
-
     obj = objective(beta)
-    for _ in range(max_iter):
+    for it in range(LOGISTIC_MAX_ITER + 1):
         margins = y * (X @ beta)
+        if np.all(margins > 0):
+            raise MleNonExistence("a Newton iterate has every margin positive; "
+                                  "the data are separable")
         s = expit(margins)
         grad = X.T @ (y * (s - 1.0)) / n
         grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm < tol:
-            check_separation(beta, grad_norm)
+        if grad_norm < GRADIENT_TOL:
             return beta
-        if np.linalg.norm(beta) > 1e4:
-            raise MleNonExistence(
-                f"||beta|| = {np.linalg.norm(beta):.3e} with gradient {grad_norm:.3e}; "
-                "data are (close to) separable")
-        direction = np.linalg.solve(_newton_hessian(X, s * (1.0 - s) / n, 1e-12), -grad)
+        if it == LOGISTIC_MAX_ITER:
+            break
+        # X' diag(w) X + 1e-12 I as (sqrt(w) X)'(sqrt(w) X), so BLAS runs syrk
+        xw = X * np.sqrt(s * (1.0 - s) / n)[:, None]
+        hess = xw.T @ xw
+        del xw  # the X-sized scratch
+        hess[np.diag_indices_from(hess)] += 1e-12
+        direction = np.linalg.solve(hess, -grad)
         step = 1.0
         while step > 1e-10:
             cand = beta + step * direction
@@ -331,18 +318,29 @@ def fit_logistic_mle(data: Dataset, tol: float = 1e-8, max_iter: int = 200) -> n
             step *= 0.5
         else:
             break
-    margins = y * (X @ beta)
-    grad = X.T @ (y * (expit(margins) - 1.0)) / n
-    grad_norm = float(np.max(np.abs(grad)))
-    if grad_norm >= tol:
-        if np.linalg.norm(beta) > 1e3:
-            raise MleNonExistence(
-                f"Newton pushed ||beta|| to {np.linalg.norm(beta):.3e}; "
-                "data are (close to) separable")
-        raise NonConvergence(f"logistic Newton stalled at gradient {grad_norm:.3e}",
-                             best=beta, residual_norm=grad_norm, iterations=max_iter)
-    check_separation(beta, grad_norm)
-    return beta
+    if np.all(y * (X @ _max_margin_point(X, y)) > 0):
+        raise MleNonExistence("the max-margin LP point has every margin positive; "
+                              "the data are separable")
+    raise NonConvergence(f"logistic Newton stalled at gradient {grad_norm:.3e}",
+                         best=beta, residual_norm=grad_norm, iterations=it)
+
+
+def _max_margin_point(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """beta of the LP max s s.t. y_i sqrt(n) x_i' beta >= s, |beta_j| <= 1, s <= 1.
+
+    beta = 0, s = 0 is feasible, so the LP has an optimum, and its beta
+    separates the data iff they are separable.  The unbounded form
+    y_i x_i' beta >= 1 is infeasible on data that are not, which HiGHS
+    reports as numerical difficulty.  A failed solve gives beta = 0.
+    """
+    from scipy.optimize import linprog  # deferred like the other scipy solvers
+
+    n, d = X.shape
+    # variables (beta, s): minimize -s subject to s - y_i sqrt(n) x_i' beta <= 0
+    a_ub = np.hstack([X * (-np.sqrt(n) * y)[:, None], np.ones((n, 1))])
+    res = linprog(np.r_[np.zeros(d), -1.0], A_ub=a_ub, b_ub=np.zeros(n),
+                  bounds=[(-1.0, 1.0)] * d + [(None, 1.0)], method="highs")
+    return np.zeros(d) if res.x is None else res.x[:d]
 
 
 # ---------------------------------------------------------------------------

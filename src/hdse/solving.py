@@ -15,14 +15,16 @@ up from near zero in steps of ``KAPPA_STEP`` and warm-starts Newton at each
 step from the previous root.
 Where no finite root exists the solve raises ``LikelyNonExistence`` up
 front (``require_existence``): for the logistic systems at or above the closed-form boundary
-``kappa_critical``, and for the lasso at lambda_star = 0 with kappa = 1
-(with kappa >= 1 for ``lasso_cgmt``).
+``kappa_critical``, for the M systems with a monotone loss at kappa >= 1/2,
+and for the lasso at lambda_star = 0 with kappa = 1 (with kappa >= 1 for
+``lasso_cgmt``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import expit, ndtr
@@ -42,6 +44,8 @@ from .systems import POSITIVITY_FLOOR, ProblemSpec, SeSolution, SystemDef, syste
 from .transforms import CANONICAL, map_params
 
 DAMPING_FLOOR = 1.0 / 64.0
+# Relative finite-difference step: h_i = FD_STEP * max(|x_i|, 1).
+FD_STEP = 1e-6
 # Continuation step in kappa; warm starts this close converge in a few
 # Newton iterations on every system.
 KAPPA_STEP = 0.05
@@ -54,15 +58,13 @@ class SolverOptions:
 
     tol: float = 1e-9
     max_iter: int = 200
-    fd_step: float = 1e-6
+    fd_step: ClassVar[float] = FD_STEP  # read-only, not an argument
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
             raise ConfigError("tol must lie in (0, 1)")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be positive")
-        if self.fd_step <= 0:
-            raise ConfigError("fd_step must be positive")
 
 
 def _fd_stack(x: np.ndarray, fd_step: float):
@@ -131,7 +133,7 @@ def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None):
     opts = opts or SolverOptions()
 
     def evaluate(point):
-        points, h = _fd_stack(point, opts.fd_step)
+        points, h = _fd_stack(point, FD_STEP)
         rows = np.asarray(residual(points), dtype=float)
         return rows[0], rows[1:], h
 
@@ -282,14 +284,22 @@ def kappa_critical(r_star: float, rule: QuadratureRule) -> float:
 def require_existence(system: str, spec: ProblemSpec) -> None:
     """Raise LikelyNonExistence where ``system`` has no finite root at ``spec``.
 
-    That is a logistic kappa at or above ``kappa_critical``, and the lasso at
+    That is a logistic kappa at or above ``kappa_critical``, an M-estimator
+    with a monotone (logistic) loss at kappa >= 1/2, and the lasso at
     lambda_star = 0 with kappa = 1 (or kappa >= 1 for lasso_cgmt).  A spec of
     another family is a ConfigError.
     """
     model = system_for(system).model
     if model != spec.model:
         raise ConfigError(f"system {system} expects model {model}, spec has {spec.model}")
-    if model == "logistic":
+    if model == "m_estimator":
+        # a monotone loss runs off along any v != 0 with Xv >= 0 (<= 0 for
+        # logistic_ell); a Gaussian design has one with probability -> 1 iff
+        # kappa > 1/2 (Wendel, Math. Scand. 1962)
+        if spec.loss.kind in ("logistic_rho", "logistic_ell") and spec.kappa >= 0.5:
+            raise LikelyNonExistence(f"{system} has no finite root for the monotone loss "
+                                     f"{spec.loss.kind} at kappa={spec.kappa:g} >= 1/2")
+    elif model == "logistic":
         kc = kappa_critical(spec.r_star, spec.rule())
         if spec.kappa >= kc:
             raise LikelyNonExistence(

@@ -106,8 +106,9 @@ class ProblemSpec:
         elif self.model == "logistic":
             if loss is None:
                 loss = LossSpec("logistic_rho")
-            elif loss.kind not in ("logistic_rho", "logistic_ell"):
-                raise ConfigError("the logistic systems are defined for the logistic loss")
+            elif loss.kind != "logistic_rho":
+                # the logistic residuals, maps and fit never read spec.loss
+                raise ConfigError("the logistic systems are defined for the logistic_rho loss")
         elif loss is None:
             raise ConfigError("m_estimator requires an explicit loss")
         object.__setattr__(self, "loss", loss)
@@ -374,25 +375,12 @@ def _inner_sigmoid_sums(a, b, rule: QuadratureRule):
     return sums[..., 0], sums[..., 1]
 
 
-def logistic_loo_covariance(spec: ProblemSpec, alpha1: float, sigma: float) -> np.ndarray:
-    """Covariance of the (true logit, negative fitted logit) Gaussian pair.
-
-    ``residual_logistic_loo`` conditions on its second entry, the prox
-    argument; the tests integrate the pair on a tensor grid as an oracle.
-    """
-    r2 = spec.r_star ** 2
-    return np.array([
-        [r2, -sigma * r2],
-        [-sigma * r2, sigma ** 2 * r2 + alpha1 ** 2 * spec.kappa],
-    ])
-
-
 def residual_logistic_loo(p, spec: ProblemSpec) -> np.ndarray:
     """LOO system, conditioned on the prox argument Q2 ~ N(0, s^2).
 
-    Given Q2, Q1 = c*Q2 + sqrt(v)*U (``logistic_loo_covariance``), so the
-    sums of sigmoid(Q1) and Q1*sigmoid(Q1) are smooth inner Gauss-Hermite
-    sums, and Q2 is integrated in its prox output (``prox_rho_nodes``).
+    Given Q2, Q1 = c*Q2 + sqrt(v)*U, so the sums of sigmoid(Q1) and
+    Q1*sigmoid(Q1) are smooth inner Gauss-Hermite sums, and Q2 is integrated
+    in its prox output (``prox_rho_nodes``).
     """
     if spec.r_star <= 0:
         raise ConfigError("the logistic LOO system requires r_star > 0")

@@ -8,11 +8,12 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import daxpy
 
-from hdse import losses
+from hdse import estimators, losses
 from hdse.errors import ConfigError, MleNonExistence, NonConvergence
 from hdse.estimators import (
     Dataset,
     _downdated_hessian,
+    _max_margin_point,
     amp_lasso,
     empirical_mse,
     fit_lasso_cd,
@@ -24,8 +25,9 @@ from hdse.estimators import (
     logistic_overlap,
     make_rng,
 )
-from hdse.expectations import bernoulli_gaussian, gaussian, point_mass
+from hdse.expectations import bernoulli_gaussian, gauss_hermite, gaussian, point_mass
 from hdse.losses import LossSpec, soft_threshold
+from hdse.solving import kappa_critical
 from hdse.systems import ProblemSpec
 
 QUAD = LossSpec("quadratic")
@@ -380,6 +382,58 @@ def test_logistic_separation_toy():
     data = Dataset(X, y, np.array([1.0, 0.0]), spec, 0)
     with pytest.raises(MleNonExistence):
         fit_logistic_mle(data)
+
+
+# kappa = 0.53 with x'beta* ~ N(0, 0.53) lies past kappa_c.  These sets are
+# separable, yet Newton can reach a gradient below 1e-8 on them, with every
+# margin >= 10.7 and a mean loss of 2e-6 to 4e-6: only the margins tell
+SEPARABLE = ProblemSpec("logistic", kappa=0.53, r_star=1.0, prior=gaussian(0.0, 1.0))
+
+
+def separates(data, beta):
+    return bool(np.all(data.response * (data.design @ beta) > 0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_separable_sets_raise(seed):
+    with pytest.raises(MleNonExistence, match="Newton iterate"):
+        fit_logistic_mle(gen_logistic_data(SEPARABLE, 500, seed))
+
+
+def test_stalled_fit_takes_the_lp_certificate(monkeypatch):
+    # Newton certifies this set only after iteration 2; capped at 2, the
+    # verdict comes from the max-margin LP point
+    data = gen_logistic_data(SEPARABLE, 500, seed=1)
+    with pytest.raises(MleNonExistence, match="Newton iterate"):
+        fit_logistic_mle(data)
+    monkeypatch.setattr(estimators, "LOGISTIC_MAX_ITER", 2)
+    with pytest.raises(MleNonExistence, match="max-margin LP"):
+        fit_logistic_mle(data)
+    # a set below kappa_c that two Newton steps do not solve
+    below = ProblemSpec("logistic", kappa=0.35, r_star=1.0, prior=gaussian(0.0, 1.0))
+    with pytest.raises(NonConvergence, match="stalled"):
+        fit_logistic_mle(gen_logistic_data(below, 500, seed=0))
+
+
+def test_separability_brackets_kappa_critical():
+    # Monte-Carlo check of the phase transition at signal strength 1
+    # (x'beta* ~ N(0, 1)): no set separable at 0.8 kappa_c, all at 1.2 kappa_c
+    kc = kappa_critical(1.0, gauss_hermite(61))
+    for frac, expected in ((0.8, 0), (1.2, 8)):
+        kappa = frac * kc
+        spec = ProblemSpec("logistic", kappa=kappa, prior=gaussian(0.0, 1.0 / math.sqrt(kappa)))
+        separable = 0
+        for seed in range(8):
+            data = gen_logistic_data(spec, 500, seed)
+            try:
+                fit_logistic_mle(data)
+                fit_separable = False
+            except MleNonExistence:
+                fit_separable = True
+            assert fit_separable == separates(data, _max_margin_point(data.design,
+                                                                      data.response))
+            separable += fit_separable
+        assert separable == expected, (frac, separable)
 
 
 def test_logistic_overlap_decomposition():

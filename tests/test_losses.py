@@ -21,7 +21,8 @@ from hdse.losses import (
     prox_kinks,
     soft_threshold,
 )
-from hdse.systems import ProblemSpec, logistic_loo_covariance
+from hdse.systems import ProblemSpec
+from oracles import logistic_loo_covariance
 
 ALL_LOSSES = [
     LossSpec("quadratic"),

@@ -24,6 +24,7 @@ from hdse.solving import (
     evaluate_jacobian_fd,
     kappa_critical,
     newton_solve,
+    require_existence,
     solve_system,
 )
 from hdse.systems import POSITIVITY_FLOOR, SYSTEMS, ProblemSpec
@@ -37,7 +38,7 @@ LOGISTIC_SYSTEMS = ("logistic_loo", "logistic_cgmt")
 def test_options_validation():
     with pytest.raises(ConfigError):
         SolverOptions(tol=2.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):   # the step is the fixed FD_STEP
         SolverOptions(fd_step=0.0)
     with pytest.raises(ConfigError):
         SolverOptions(max_iter=0)
@@ -250,6 +251,19 @@ def test_zero_penalty_lasso_nonexistence(system, kappa):
     for source, target in ((system, other), (other, system)):
         with pytest.raises(LikelyNonExistence):
             verify_equivalence(source, target, spec)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 0.52])
+@pytest.mark.parametrize("kind", ["logistic_rho", "logistic_ell"])
+@pytest.mark.parametrize("system", ["m_loo", "m_amp", "m_cgmt"])
+def test_monotone_m_loss_nonexistence(system, kind, kappa):
+    # a monotone loss has no finite M-estimate once kappa > 1/2 (Wendel); at
+    # quadrature order 61 m_loo and m_amp still find spurious roots here
+    spec = ProblemSpec("m_estimator", kappa=kappa, loss=LossSpec(kind))
+    with pytest.raises(LikelyNonExistence, match="monotone") as exc:
+        solve_system(system, spec)
+    assert exc.value.iterations is None    # raised before any iteration
+    require_existence(system, spec.with_kappa(0.45))
 
 
 @pytest.mark.parametrize("r_star", sorted(KAPPA_CRITICAL))

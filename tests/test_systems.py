@@ -27,7 +27,6 @@ from hdse.systems import (
     ProblemSpec,
     SeSolution,
     lasso_signal_moments,
-    logistic_loo_covariance,
     mse_candidates,
     mse_from_solution,
     residual_lasso_amp,
@@ -38,6 +37,7 @@ from hdse.systems import (
     residual_m_cgmt,
     residual_m_loo,
 )
+from oracles import logistic_loo_covariance
 
 QUAD = LossSpec("quadratic")
 HUBER = LossSpec("huber", delta=1.345)
@@ -57,6 +57,14 @@ def test_spec_rejects_kappa_at_least_one_for_m_and_logistic():
     with pytest.raises(ConfigError):
         ProblemSpec("logistic", kappa=1.2, r_star=1.0)
     ProblemSpec("lasso", kappa=1.5, prior=point_mass(0.0), sigma_star=1.0)  # allowed
+
+
+def test_logistic_spec_takes_only_the_rho_loss():
+    # no logistic residual, map or fit reads spec.loss
+    assert ProblemSpec("logistic", kappa=0.1, r_star=1.0).loss == LossSpec("logistic_rho")
+    for kind in ("logistic_ell", "quadratic"):
+        with pytest.raises(ConfigError):
+            ProblemSpec("logistic", kappa=0.1, r_star=1.0, loss=LossSpec(kind))
 
 
 def test_spec_resolves_and_checks_consistency():
