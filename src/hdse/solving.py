@@ -7,17 +7,14 @@ residuals, shape ``(m, n_eq)`` (see ``systems``), so Newton evaluates every
 point, the start and each line-search trial, in one call on the (2n + 1, n)
 stack [x; x + h_i e_i; x - h_i e_i]: the first row decides acceptance, and an
 accepted trial's other 2n rows are the next Jacobian's difference points.
-The singularity test takes the condition number of the Jacobian with its rows
-and then its columns scaled to max |entry| 1, which leaves the Newton
-direction unchanged; a zero row or column is singular.  Every system shares one
-fallback: when Newton from the automatic start fails, the solve walks kappa
-up from near zero in steps of ``KAPPA_STEP`` and warm-starts Newton at each
-step from the previous root.
-Where no finite root exists the solve raises ``LikelyNonExistence`` up
-front (``require_existence``): for the logistic systems at or above the closed-form boundary
-``kappa_critical``, for the M systems with a monotone loss at kappa >= 1/2,
-and for the lasso at lambda_star = 0 with kappa = 1 (with kappa >= 1 for
-``lasso_cgmt``).
+The singularity test takes the equilibrated condition number
+(``_equilibrated_cond``).  When Newton from the automatic start fails on an M
+system, it restarts once from the start's tau with lambda on the root curve of
+the first ``m_loo`` equation, E[prox'_lambda(W + tau Z)] = 1 - kappa, which
+stacked scans bracket: the left side decreases in lambda, since prox' is
+1/(1 + lambda rho'') or, for the absolute loss, 1{|s| > lambda}.  Other
+systems have no fallback.  Where no finite root exists, ``require_existence``
+raises ``LikelyNonExistence`` up front.
 """
 
 from __future__ import annotations
@@ -29,16 +26,9 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .errors import (
-    ConfigError,
-    LikelyNonExistence,
-    NonConvergence,
-    NumericError,
-    SingularJacobian,
-)
-# expect_noise_sum is not called here; the benchmark tracer
-# (perfbench/tracer.py) wraps it under this module's name, so the import
-# stays.
+from .errors import ConfigError, LikelyNonExistence, NonConvergence, NumericError, SingularJacobian
+# expect_noise_sum is not called here; the benchmark tracer (perfbench/tracer.py)
+# wraps it under this module's name, so the import stays.
 from .expectations import QuadratureRule, expect_noise_sum  # noqa: F401
 from .systems import POSITIVITY_FLOOR, ProblemSpec, SeSolution, SystemDef, system_for
 from .transforms import CANONICAL, map_params
@@ -46,9 +36,6 @@ from .transforms import CANONICAL, map_params
 DAMPING_FLOOR = 1.0 / 64.0
 # Relative finite-difference step: h_i = FD_STEP * max(|x_i|, 1).
 FD_STEP = 1e-6
-# Continuation step in kappa; warm starts this close converge in a few
-# Newton iterations on every system.
-KAPPA_STEP = 0.05
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
@@ -68,10 +55,8 @@ class SolverOptions:
 
 
 def _fd_stack(x: np.ndarray, fd_step: float):
-    """The (2n + 1, n) stack [x; x + h_i e_i; x - h_i e_i] and the steps h.
-
-    The step is scaled per coordinate, h_i = fd_step * max(|x_i|, 1).
-    """
+    """The (2n + 1, n) stack [x; x + h_i e_i; x - h_i e_i] and the steps
+    h_i = fd_step * max(|x_i|, 1)."""
     n = x.size
     h = fd_step * np.maximum(np.abs(x), 1.0)
     idx = np.arange(n)
@@ -93,11 +78,8 @@ def _fd_jacobian(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def evaluate_jacobian_fd(residual, x, fd_step: float) -> np.ndarray:
-    """Central-difference Jacobian, step scaled per coordinate.
-
-    ``residual`` receives the 2n points x +- h_i e_i as one (2n, n) stack and
-    must return one residual row per point.
-    """
+    """Central-difference Jacobian, step scaled per coordinate; ``residual``
+    maps the (2n, n) stack of points x +- h_i e_i to one row per point."""
     points, h = _fd_stack(np.asarray(x, dtype=float), fd_step)
     return _fd_jacobian(np.asarray(residual(points[1:]), dtype=float), h)
 
@@ -124,10 +106,8 @@ def newton_solve(residual, x0, opts: SolverOptions | None = None, clamp=None):
 
     ``clamp`` maps a candidate iterate back into the feasible region.  Each
     line search tries the full step first, halving it down to
-    ``DAMPING_FLOOR``.  Every point, the start and each trial, is evaluated in
-    one residual call together with its 2n difference points; the centre row
-    decides acceptance, and the other rows give the next Jacobian.  Returns
-    ``(x, info)`` with iteration count, final residual norm, and the
+    ``DAMPING_FLOOR``; each point is one stacked call (module docstring).
+    Returns ``(x, info)`` with iteration count, final residual norm, and the
     equilibrated condition number of the last Jacobian.
     """
     opts = opts or SolverOptions()
@@ -208,11 +188,9 @@ def _grid_search_logistic(sdef: SystemDef, spec: ProblemSpec):
 
 
 def auto_init(system: str, spec: ProblemSpec, opts: SolverOptions | None = None) -> np.ndarray:
-    """Start for the family's canonical system, mapped to ``system``.
-
-    The quadratic closed form anchors the m systems; ``lasso_cgmt`` starts
-    from a solved ``lasso_amp`` root.
-    """
+    """Start for the family's canonical system, mapped to ``system``: the
+    quadratic closed form for the M systems, a solved ``lasso_amp`` root for
+    ``lasso_cgmt``."""
     opts = opts or SolverOptions()
     sdef = system_for(system)
     k = spec.kappa
@@ -313,29 +291,52 @@ def require_existence(system: str, spec: ProblemSpec) -> None:
             f"{system} has no finite root at lambda_star=0, kappa={spec.kappa:g}")
 
 
-def _kappa_walk(system: str, spec: ProblemSpec, opts: SolverOptions, newton_from):
-    """Continuation: Newton at each kappa of a path from near 0 to spec.kappa,
-    warm-started from the root at the previous kappa."""
-    n = int(np.ceil(spec.kappa / KAPPA_STEP))
-    path = np.linspace(spec.kappa / n, spec.kappa, n)
-    x = auto_init(system, spec.with_kappa(float(path[0])), opts)
-    iterations = 0
-    for kappa in path:
-        x, info = newton_from(x, spec.with_kappa(float(kappa)))
-        iterations += info["iterations"]
-    return x, {**info, "iterations": iterations}
+def _root_curve_bracket(spec: ProblemSpec, tau: float):
+    """Bracket [lo, hi] of the one lambda with E[prox'_lambda(W + tau Z)] = 1 - kappa,
+    from stacked ``m_loo`` scans of 41 geometric points on [1e-4, 1e6] and then
+    on each first sign change down to 1e-3 relative width; None if none."""
+    lo, hi = 1e-4, 1e6
+    while hi > lo * (1.0 + 1e-3):
+        lam = np.geomspace(lo, hi, 41)
+        row = system_for("m_loo").residual(np.column_stack([np.full(41, tau), lam]), spec)[:, 0]
+        change = np.flatnonzero((row[:-1] > 0.0) & (row[1:] <= 0.0))
+        if change.size == 0:
+            return None
+        lo, hi = lam[change[0]], lam[change[0] + 1]
+    return lo, hi
+
+
+def _restart_on_root_curve(system: str, spec: ProblemSpec, newton_from, first):
+    """Newton from auto_init's tau with lambda on the root curve, mapped to ``system``."""
+    tau0 = float(auto_init("m_loo", spec)[0])
+    bracket = _root_curve_bracket(spec, tau0)
+    if bracket is None:
+        raise first
+    start = {"tau1": tau0, "lam1": float(np.sqrt(bracket[0] * bracket[1]))}
+    if system != "m_loo":
+        start = map_params(start, "m_loo", system, spec)
+    try:
+        return newton_from(np.array([start[n] for n in system_for(system).params]))
+    except (NonConvergence, NumericError) as second:
+        second.args = (f"Newton failed from the automatic start ({first}) and from the "
+                       f"root-curve start {start} ({second})",)
+        if isinstance(second, NonConvergence):
+            second.iterations += getattr(first, "iterations", None) or 0
+        raise second from first
 
 
 def solve_system(system: str, spec: ProblemSpec, x0="auto",
                  opts: SolverOptions | None = None) -> SeSolution:
     """Solve one state-equation system to the requested residual max-norm.
 
-    With ``x0="auto"`` Newton starts from ``auto_init``; if that fails, the
-    solve falls back to a kappa walk (see the module docstring) and raises
-    what the walk raises.  An explicit ``x0`` gets Newton alone.  Raises
-    NonConvergence with the best iterate attached when Newton stalls or runs
-    out of iterations, SingularJacobian (a NumericError) when the Jacobian
-    degenerates, and LikelyNonExistence before any iteration where no finite
+    With ``x0="auto"`` Newton starts from ``auto_init``; an M system that fails
+    there restarts once on the root curve (module docstring) and reports the
+    restart's iterations.  If that fails too, its error names both starts,
+    counts both runs' iterations and is chained from the first error, which is
+    raised as is where no scan brackets the curve.  An explicit ``x0`` gets
+    Newton alone.  Raises NonConvergence (best iterate attached) when Newton
+    stalls or runs out of iterations, SingularJacobian (a NumericError) when
+    the Jacobian degenerates, and LikelyNonExistence up front where no finite
     root exists (``require_existence``).
     """
     opts = opts or SolverOptions()
@@ -343,21 +344,20 @@ def solve_system(system: str, spec: ProblemSpec, x0="auto",
     sdef = system_for(system)
     clamp = _clamp_for(sdef)
 
-    def newton_from(start, at_spec):
-        def residual(x):
-            # evaluate on the clamped point so finite differencing at the
-            # positivity floor cannot step outside the domain
-            return sdef.residual(clamp(np.asarray(x, dtype=float)), at_spec)
-
-        return newton_solve(residual, start, opts, clamp=clamp)
+    def newton_from(start):
+        # the residual sees clamped points, so differencing stays in the domain
+        return newton_solve(lambda x: sdef.residual(clamp(np.asarray(x, dtype=float)), spec),
+                            start, opts, clamp=clamp)
 
     if isinstance(x0, str):
         if x0 != "auto":
             raise ConfigError(f"unknown initialization {x0!r}")
         try:
-            x, info = newton_from(auto_init(system, spec, opts), spec)
-        except (NonConvergence, NumericError):
-            x, info = _kappa_walk(system, spec, opts, newton_from)
+            x, info = newton_from(auto_init(system, spec, opts))
+        except (NonConvergence, NumericError) as first:
+            if sdef.model != "m_estimator":
+                raise
+            x, info = _restart_on_root_curve(system, spec, newton_from, first)
     else:
         if isinstance(x0, dict):
             start = np.array([float(x0[n]) for n in sdef.params])
@@ -365,7 +365,7 @@ def solve_system(system: str, spec: ProblemSpec, x0="auto",
             start = np.asarray(x0, dtype=float)
             if start.size != len(sdef.params):
                 raise ConfigError(f"x0 must have {len(sdef.params)} entries {sdef.params}")
-        x, info = newton_from(start, spec)
+        x, info = newton_from(start)
 
     return SeSolution(system=system, params=dict(zip(sdef.params, map(float, x))),
                       residual_norm=info["residual_norm"], iterations=info["iterations"],

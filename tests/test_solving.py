@@ -14,12 +14,12 @@ from hdse.errors import (
     NumericError,
     SingularJacobian,
 )
-from hdse.expectations import bernoulli_gaussian, gaussian, point_mass
+from hdse.expectations import bernoulli_gaussian, gaussian, point_mass, two_point
 from hdse.losses import LossSpec
 from hdse.solving import (
     SolverOptions,
     _clamp_for,
-    _kappa_walk,
+    _root_curve_bracket,
     auto_init,
     evaluate_jacobian_fd,
     kappa_critical,
@@ -129,8 +129,9 @@ def test_logistic_start_is_the_first_best_finite_candidate(monkeypatch):
         auto_init("logistic_loo", spec)
 
 
-def test_kappa_walk_solves_absolute_loss_near_one():
-    # Newton from auto_init stalls here; the solve must go through the kappa walk.
+def test_root_curve_restart_solves_absolute_loss_near_one():
+    # Newton from auto_init stalls here; the solve must go through the restart
+    # on the root curve of the first m_loo equation.
     spec = ProblemSpec("m_estimator", kappa=0.95, loss=LossSpec("absolute"),
                        noise=gaussian(0.0, 1.0))
     opts = SolverOptions()
@@ -147,6 +148,52 @@ def test_kappa_walk_solves_absolute_loss_near_one():
         assert sol.converged
         assert np.max(np.abs(sdef.residual(sol.vector(), spec))) <= opts.tol
         assert sol.vector()[0] == pytest.approx(4.96554, abs=1e-5)
+        assert sol.iterations <= 10     # a kappa walk took 61-82 here
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.5, 0.9, 0.99])
+def test_root_curve_of_the_quadratic_loss_is_auto_inits_lambda(kappa):
+    # E[prox'] = 1/(1 + lambda) for the quadratic loss, so the root curve is
+    # lambda = kappa/(1 - kappa) at every tau, auto_init's lambda
+    spec = ProblemSpec("m_estimator", kappa=kappa, loss=LossSpec("quadratic"),
+                       noise=gaussian(0.0, 1.0))
+    lo, hi = _root_curve_bracket(spec, auto_init("m_loo", spec)[0])
+    assert lo <= kappa / (1.0 - kappa) <= hi <= lo * (1.0 + 1e-3)
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.75, 0.95, 0.99])
+@pytest.mark.parametrize("loss", [LossSpec("absolute"), LossSpec("huber", 1.345)])
+def test_root_curve_bracket_holds_a_sign_change(loss, kappa):
+    spec = ProblemSpec("m_estimator", kappa=kappa, loss=loss, noise=two_point(1.0, 0.5))
+    tau = auto_init("m_loo", spec)[0]
+    lo, hi = _root_curve_bracket(spec, tau)
+    first_row = SYSTEMS["m_loo"].residual(np.array([[tau, lo], [tau, hi]]), spec)[:, 0]
+    assert first_row[0] > 0.0 >= first_row[1] and hi <= lo * (1.0 + 1e-3)
+
+
+@pytest.mark.parametrize("noise", [gaussian(0.0, 1.0), two_point(1.0, 0.5)])
+@pytest.mark.parametrize("loss", [LossSpec("quadratic"), LossSpec("huber", 1.345),
+                                  LossSpec("absolute")])
+def test_m_systems_solve_on_the_whole_kappa_range(loss, noise):
+    # the restart is the only fallback of the M solves; every kappa < 1 must solve
+    failed = []
+    for kappa in [round(0.05 * i, 2) for i in range(1, 20)] + [0.99]:
+        spec = ProblemSpec("m_estimator", kappa=kappa, loss=loss, noise=noise)
+        for system in ("m_loo", "m_amp", "m_cgmt"):
+            try:
+                solve_system(system, spec)
+            except (NonConvergence, NumericError):
+                failed.append((system, kappa))
+    assert failed == []
+
+
+def test_failed_restart_names_both_starts():
+    spec = ProblemSpec("m_estimator", kappa=0.95, loss=LossSpec("absolute"),
+                       noise=gaussian(0.0, 1.0))
+    with pytest.raises(NonConvergence, match="automatic start .* root-curve start") as exc:
+        solve_system("m_loo", spec, opts=SolverOptions(max_iter=1))
+    assert isinstance(exc.value.__cause__, NonConvergence)   # the automatic start's error
+    assert exc.value.iterations == 1 + exc.value.__cause__.iterations
 
 
 @pytest.mark.parametrize("lambda_star", [0.0, 0.01])
@@ -201,24 +248,28 @@ def test_lasso_cgmt_solves_beyond_kappa_one_at_small_penalty(lambda_star):
     assert failed == []
 
 
-def test_kappa_walk_keeps_lasso_cgmt_trials_in_the_domain():
-    # walking kappa across 1 at lambda_star = 0.001, a line-search trial
-    # overshoots theta <= 1; the clamp keeps it in the domain, so the walk
-    # can fail only as a solve does
-    spec = ProblemSpec("lasso", kappa=5.0, lambda_star=0.001,
+def test_clamp_keeps_lasso_cgmt_trials_in_the_domain():
+    # from this start the full Newton step takes theta to 1.11; every point
+    # the residual sees, trials and difference points alike, keeps theta <= 1
+    spec = ProblemSpec("lasso", kappa=0.5, lambda_star=0.1,
                        prior=bernoulli_gaussian(0.1, math.sqrt(10.0)), noise=gaussian(0.0, 1.0))
     sdef = SYSTEMS["lasso_cgmt"]
     clamp = _clamp_for(sdef)
-    opts = SolverOptions()
+    root = solve_system("lasso_cgmt", spec).vector()
+    start = root.copy()
+    start[3] = 0.8
+    jac = evaluate_jacobian_fd(lambda v: sdef.residual(clamp(v), spec), start, 1e-6)
+    assert start[3] + np.linalg.solve(jac, -sdef.residual(start, spec))[3] > 1.0
+    thetas = []
 
-    def newton_from(start, at_spec):
-        return newton_solve(lambda v: sdef.residual(clamp(v), at_spec), start, opts,
-                            clamp=clamp)
+    def residual(v):
+        points = clamp(v)
+        thetas.extend(np.atleast_2d(points)[:, 3])
+        return sdef.residual(points, spec)
 
-    try:
-        _kappa_walk("lasso_cgmt", spec, opts, newton_from)
-    except (NonConvergence, NumericError):
-        pass
+    x, _ = newton_solve(residual, start, SolverOptions(), clamp=clamp)
+    assert max(thetas) == 1.0    # the overshooting trial is clamped onto the bound
+    assert np.allclose(x, root, rtol=1e-6)
 
 
 def test_singularity_test_ignores_row_and_column_scale():
