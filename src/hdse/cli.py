@@ -106,7 +106,7 @@ def load_config(path: str) -> dict:
     try:
         jsonschema.validate(cfg, _schema())
     except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config {path} failed validation: {exc.message}") from exc
+        raise ConfigError(f"config {path} is invalid at {exc.json_path}: {exc.message}") from exc
     return cfg
 
 
@@ -245,13 +245,12 @@ def cmd_solve_se(args) -> int:
         params = sol.params
         residual_norm, iterations = sol.residual_norm, sol.iterations
         mse_nominal, mse_reduction = mse_candidates(sol, spec)
-    except LikelyNonExistence as exc:
-        status, exit_code = "likely_non_existence", EXIT_NONCONVERGENCE
-        residual_norm = exc.residual_norm
-        print(f"solve-se: {exc}", file=sys.stderr)
     except (NonConvergence, NumericError) as exc:
-        status, exit_code = "non_convergence", EXIT_NONCONVERGENCE
+        status = ("likely_non_existence" if isinstance(exc, LikelyNonExistence)
+                  else "non_convergence")
+        exit_code = EXIT_NONCONVERGENCE
         residual_norm = getattr(exc, "residual_norm", None)
+        iterations = getattr(exc, "iterations", None)
         print(f"solve-se: {exc}", file=sys.stderr)
     wall = (time.perf_counter() - t0) * 1e3
 
@@ -309,7 +308,10 @@ def cmd_verify_equivalence(args) -> int:
                     mapped = {k: v * (1.0 + args.perturb) for k, v in mapped.items()}
                     sdef = system_for(target)
                     vec = np.array([mapped[n] for n in sdef.params])
-                    res = np.max(np.abs(sdef.residual(vec, spec)))
+                    try:
+                        res = np.max(np.abs(sdef.residual(vec, spec)))
+                    except ValueError:
+                        res = np.inf   # outside the target's domain, so no root
                 else:
                     res = report.target_residual_norm
                 passed = res <= report.tolerance

@@ -35,11 +35,11 @@ class LikelyNonExistence(NonConvergence):
     """The requested state-equation root does not exist.
 
     Raised before any iteration: by the logistic solves when kappa is at or
-    above the closed-form existence boundary
-    ``solving.kappa_critical(r_star, rule)``, past this maximum-likelihood
-    phase transition; by the M solves with a monotone (logistic) loss at
-    kappa >= 1/2; and by the lasso solves at lambda_star = 0 where kappa = 1
-    (tau diverges) or, for ``lasso_cgmt``, kappa > 1 (theta -> 0).
+    above the existence boundary ``solving.kappa_critical(r_star)`` (a
+    function of r_star alone, integrated on Gauss-Legendre panels), past this
+    maximum-likelihood phase transition; by the M solves with a monotone
+    (logistic) loss at kappa >= 1/2; and by the lasso solves at lambda_star = 0
+    where kappa = 1 (tau diverges) or, for ``lasso_cgmt``, kappa > 1 (theta -> 0).
     """
 
 

@@ -22,12 +22,17 @@ Integrands with derivative kinks (huber and absolute prox maps) are
 integrated with Gauss-Legendre panels of the same order, split at the kinks,
 because Gauss-Hermite loses most of its accuracy across a kink; the choice
 is made per integrand, so every row of a kinked call gets panels.  The prox
-output axis gets panels at the bends of the sigmoid for the same reason.
+output axis gets panels at the bends of the sigmoid for the same reason, and
+so does the label-tilted V of the logistic existence boundary
+(``tilt_nodes``); ``_panels`` builds all three panel rules.  Every Gaussian
+spread must be positive, as the systems declare their scales: no zero-spread
+point evaluation is special-cased.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit, ndtr, roots_hermitenorm, roots_legendre
@@ -52,6 +57,8 @@ _CHOLESKY_JITTER = 1e-12
 # the window), solved to their roots by ``losses.rho_prox``.
 _SIGMOID_BENDS = np.array([-16.0, -8.0, -3.0, 0.0, 3.0, 8.0, 16.0])
 _PREIMAGE_SDS = np.array([-PANEL_HALFWIDTH, -7.0, -4.0, -2.0, 2.0, 4.0, 7.0, PANEL_HALFWIDTH])
+_TILT_SDS = np.array([-7.0, -4.0, -2.0, 0.0, 2.0, 4.0, 7.0])  # edges of ``tilt_nodes`` in v
+_TILT_BENDS = np.array([-16.0, -8.0, -3.0, 3.0, 8.0, 16.0])  # and in r*v
 
 
 @dataclass(frozen=True)
@@ -141,79 +148,49 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-_HERMITE_CACHE: dict[int, QuadratureRule] = {}
-_LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def gauss_hermite(order: int) -> QuadratureRule:
     if order < 1:
         raise ConfigError("quadrature order must be positive")
-    rule = _HERMITE_CACHE.get(order)
-    if rule is None:
-        nodes, weights = roots_hermitenorm(order)
-        weights = weights / weights.sum()
-        rule = QuadratureRule(order, nodes, weights)
-        _HERMITE_CACHE[order] = rule
-    return rule
+    nodes, weights = roots_hermitenorm(order)
+    return QuadratureRule(order, nodes, weights / weights.sum())
 
 
-def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    pair = _LEGENDRE_CACHE.get(order)
-    if pair is None:
-        pair = roots_legendre(max(order, 16))
-        _LEGENDRE_CACHE[order] = pair
-    return pair
+_legendre = lru_cache(maxsize=None)(roots_legendre)
+
+
+def _panels(lo, cuts, hi, order: int):
+    """Gauss-Legendre panels on [lo, hi] cut at ``cuts`` clipped into it: nodes
+    (..., panels, max(order, 16)), half-widths and weights on [-1, 1]."""
+    lo, hi = (np.asarray(e, dtype=float)[..., None] for e in (lo, hi))
+    edges = np.concatenate([lo, np.sort(np.clip(cuts, lo, hi), axis=-1), hi], axis=-1)
+    a, b = edges[..., :-1], edges[..., 1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    u, w = _legendre(max(order, 16))
+    return mid[..., None] + half[..., None] * u, half, w
 
 
 def _gauss_nodes(mean, sd, rule: QuadratureRule, kinks):
-    """Nodes and weights of E[g(X)], X ~ N(mean, sd^2), per row of mean/sd.
+    """Nodes and weights of E[g(X)], X ~ N(mean, sd^2), per row of mean/sd > 0.
 
     Returns ``(x, w, dens, half)``: E[g(X)] is the sum over panels j of
     ``half[..., j] * sum_k w * g(x) * dens`` over the last axis.  A smooth
-    integrand (no kinks) gets the Gauss-Hermite rule, and ``dens`` and
-    ``half`` are None.  A kinked one gets Gauss-Legendre panels on every
-    row, split at the kinks clipped into the +-PANEL_HALFWIDTH sd window, so
-    a kink outside the window leaves a zero-width panel.  A row with sd = 0
-    is a point evaluation at its mean.
+    integrand (no kinks) gets the Gauss-Hermite rule, with ``dens`` and
+    ``half`` None; a kinked one gets ``_panels`` on the +-PANEL_HALFWIDTH sd
+    window of every row, cut at the kinks.
     """
     mean, sd = np.asarray(mean, dtype=float), np.asarray(sd, dtype=float)
-    point = sd == 0.0
     if not kinks:
-        x = mean[..., None] + sd[..., None] * rule.nodes
-        w = rule.weights
-        if point.any():
-            w = np.where(point[..., None], _unit(w.size), w)
-        return x, w, None, None
+        return mean[..., None] + sd[..., None] * rule.nodes, rule.weights, None, None
     lo = mean - PANEL_HALFWIDTH * sd
-    hi = mean + PANEL_HALFWIDTH * sd
     ks = np.empty(lo.shape + (len(kinks),))
     for j, k in enumerate(kinks):
         ks[..., j] = k
-    cuts = np.sort(np.clip(ks, lo[..., None], hi[..., None]), axis=-1)
-    edges = np.concatenate([lo[..., None], cuts, hi[..., None]], axis=-1)
-    a, b = edges[..., :-1], edges[..., 1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    u, w = _legendre(rule.order)
-    x = mid[..., None] + half[..., None] * u
-    s_dens = np.where(point, 1.0, sd)
-    inv = 1.0 / (np.sqrt(2.0 * np.pi) * s_dens)
+    x, half, w = _panels(lo, ks, mean + PANEL_HALFWIDTH * sd, rule.order)
+    inv = 1.0 / (np.sqrt(2.0 * np.pi) * sd)
     dens = inv[..., None, None] * np.exp(
-        -0.5 * ((x - mean[..., None, None]) / s_dens[..., None, None]) ** 2)
-    if point.any():
-        # a point row has zero-width panels at its mean: weight 1 on the
-        # first node of panel 0, nothing after it
-        first = np.arange(half.shape[-1]) == 0
-        p3 = point[..., None, None]
-        w = np.where(p3, np.where(first[:, None], _unit(u.size), 0.0), w)
-        dens = np.where(p3, 1.0, dens)
-        half = np.where(point[..., None], first, half)
+        -0.5 * ((x - mean[..., None, None]) / sd[..., None, None]) ** 2)
     return x, w, dens, half
-
-
-def _unit(size: int) -> np.ndarray:
-    e = np.zeros(size)
-    e[0] = 1.0
-    return e
 
 
 def _gauss_sum(vals: np.ndarray, w, dens, half) -> np.ndarray:
@@ -231,16 +208,6 @@ def _gauss_sum(vals: np.ndarray, w, dens, half) -> np.ndarray:
     return total
 
 
-def _scalar_or_array(value):
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def _noise_components(noise: DistributionSpec):
-    if noise.kind == "bernoulli_gaussian":
-        raise ConfigError("noise law must be point_mass, two_point, or gaussian")
-    return [c for c in noise.mixture() if c[0] != 0.0]
-
-
 def expect_noise_sum(g, noise: DistributionSpec, tau, rule: QuadratureRule, kinks=(),
                      zweighted=False):
     """E[g(W + tau*Z)], W ~ noise independent of Z ~ N(0, 1), kink aware.
@@ -250,13 +217,16 @@ def expect_noise_sum(g, noise: DistributionSpec, tau, rule: QuadratureRule, kink
     per-row prox scale on that axis), and may return several values stacked
     on leading axes.  ``zweighted`` (one flag, or one per stacked value)
     selects E[Z * g(W + tau*Z)] instead, as in ``expect_noise_zweighted``;
-    both kinds share the nodes.  Returns a float for a scalar ``tau`` and a
-    single value, else an array shaped ``(*stacked, *tau.shape)``.
+    both kinds share the nodes.  Every ``tau`` must be positive.  Returns a
+    float for a scalar ``tau`` and a single value, else an array shaped
+    ``(*stacked, *tau.shape)``.
     """
     tau = np.asarray(tau, dtype=float)
-    if (tau < 0).any():
-        raise ConfigError("tau must be nonnegative")
-    wts, means, sds = np.array(_noise_components(noise)).T
+    if not (tau > 0).all():
+        raise ConfigError("tau must be positive")
+    if noise.kind == "bernoulli_gaussian":
+        raise ConfigError("noise law must be point_mass, two_point, or gaussian")
+    wts, means, sds = np.array([c for c in noise.mixture() if c[0] != 0.0]).T
     tcol = tau[..., None]
     x, w, dens, half = _gauss_nodes(means, np.hypot(sds, tcol), rule,
                                     tuple(np.asarray(k, dtype=float)[..., None] for k in kinks))
@@ -266,8 +236,6 @@ def expect_noise_sum(g, noise: DistributionSpec, tau, rule: QuadratureRule, kink
         vals = vals[None]
     zflags = [zweighted] * len(vals) if np.ndim(zweighted) == 0 else list(zweighted)
     if any(zflags):
-        if not (tau > 0).all():
-            raise ConfigError("z-weighted expectation requires tau > 0")
         # Per component the pair (Z, S = W + tau*Z) is jointly Gaussian, so
         # E[Z g(S)] = Cov(Z, S)/Var(S) * E[(S - E S) g(S)].
         centred = x - means.reshape((-1,) + (1,) * (x.ndim - tau.ndim - 1))
@@ -278,18 +246,14 @@ def expect_noise_sum(g, noise: DistributionSpec, tau, rule: QuadratureRule, kink
     for c, wt in enumerate(wts):
         for i, z in enumerate(zflags):
             totals[i] = totals[i] + (wt * zfactor[..., c] if z else wt) * comp[i, ..., c]
-    return _scalar_or_array(totals[0] if single else np.array(totals))
+    out = totals[0] if single else np.array(totals)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def expect_noise_zweighted(g, noise: DistributionSpec, tau, rule: QuadratureRule,
                            kinks=()):
-    """E[Z * g(W + tau*Z)], W ~ noise independent of Z ~ N(0, 1).
-
-    Per mixture component the pair (Z, S = W + tau*Z) is jointly Gaussian, so
-    E[Z g(S)] = Cov(Z, S)/Var(S) * E[(S - E S) g(S)].  This keeps the left
-    side of the Stein identity free of any derivative of g while still
-    reducing the integral to one kink-aware dimension.
-    """
+    """E[Z * g(W + tau*Z)], W ~ noise independent of Z ~ N(0, 1), by the
+    Gaussian regression in ``expect_noise_sum``: no derivative of g is taken."""
     return expect_noise_sum(g, noise, tau, rule, kinks=kinks, zweighted=True)
 
 
@@ -303,30 +267,37 @@ def prox_rho_nodes(sd, t, order: int):
 
     needs no prox at the nodes.  ``sd`` and ``t`` hold one value per row.
     The p-axis runs over the preimage of the +-PANEL_HALFWIDTH sd window of
-    Y and is cut into Gauss-Legendre panels of max(16, order // 4) nodes at
-    the preimages of y = +-2, 4, 7 sd and at the bends of the sigmoid; the 8
-    preimages per row are the only prox solves, one ``rho_prox`` call.  Bends
-    outside the window leave zero-width panels, so every row has the same
-    node count.  Returns ``(y, sig, w)`` at the nodes p, each of shape
-    (m, nodes), with sig = sigmoid(p): E[h(P, Y)] = sum w * h(p, y) over the
-    last axis, and h reads p through sig.
+    Y and is cut into ``_panels`` of max(16, order // 4) nodes at the
+    preimages of y = +-2, 4, 7 sd and at the bends of the sigmoid; the 8
+    preimages per row are the only prox solves, one ``rho_prox`` call.
+    Returns ``(y, sig, w)`` at the nodes p, each of shape (m, nodes), with
+    sig = sigmoid(p): E[h(P, Y)] = sum w * h(p, y) over the last axis, and
+    h reads p through sig.
     """
     sd = np.asarray(sd, dtype=float)[:, None]
     t = np.asarray(t, dtype=float)[:, None]
     m = sd.shape[0]
     ends = rho_prox(sd * _PREIMAGE_SDS, t)
-    lo, hi = ends[:, :1], ends[:, -1:]
     bends = np.broadcast_to(_SIGMOID_BENDS, (m, _SIGMOID_BENDS.size))
-    cuts = np.clip(np.concatenate([ends[:, 1:-1], bends], axis=1), lo, hi)
-    edges = np.concatenate([lo, np.sort(cuts, axis=1), hi], axis=1)
-    u, wl = _legendre(order // 4)
-    mid, half = 0.5 * (edges[:, 1:] + edges[:, :-1]), 0.5 * (edges[:, 1:] - edges[:, :-1])
-    p = (mid[..., None] + half[..., None] * u).reshape(m, -1)
+    p, half, wl = _panels(ends[:, 0], np.concatenate([ends[:, 1:-1], bends], axis=1),
+                          ends[:, -1], order // 4)
+    p = p.reshape(m, -1)
     sig = expit(p)
     y = p + t * sig
     jac = 1.0 + t * (sig * (1.0 - sig))
     w = (half[..., None] * wl).reshape(m, -1) * _phi(y / sd) / sd * jac
     return y, sig, w
+
+
+def tilt_nodes(r_star: float):
+    """Nodes v and weights w, E[f(V)] = sum w * f(v), for V of the label-tilted
+    density 2*phi(v)*sigmoid(r_star*v): 16-node panels over +-PANEL_HALFWIDTH,
+    cut at 0, +-2, 4, 7 and at the tilt's bends v = +-{3, 8, 16}/r_star."""
+    with np.errstate(divide="ignore"):  # at r_star = 0 the bends clip to the window's edges
+        cuts = np.concatenate([_TILT_SDS, _TILT_BENDS / r_star])
+    v, half, wl = _panels(-PANEL_HALFWIDTH, cuts, PANEL_HALFWIDTH, 16)
+    w = half[:, None] * wl * 2.0 * _phi(v) * expit(r_star * v)
+    return v.ravel(), w.ravel()
 
 
 def _cholesky_psd(cov: np.ndarray) -> np.ndarray:

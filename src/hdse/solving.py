@@ -24,12 +24,12 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import expit, ndtr
+from scipy.special import ndtr
 
 from .errors import ConfigError, LikelyNonExistence, NonConvergence, NumericError, SingularJacobian
 # expect_noise_sum is not called here; the benchmark tracer (perfbench/tracer.py)
 # wraps it under this module's name, so the import stays.
-from .expectations import QuadratureRule, expect_noise_sum  # noqa: F401
+from .expectations import expect_noise_sum, tilt_nodes  # noqa: F401
 from .systems import POSITIVITY_FLOOR, ProblemSpec, SeSolution, SystemDef, system_for
 from .transforms import CANONICAL, map_params
 
@@ -236,21 +236,18 @@ def _clamp_for(sdef: SystemDef):
 
 
 @lru_cache(maxsize=16)
-def kappa_critical(r_star: float, rule: QuadratureRule) -> float:
+def kappa_critical(r_star: float) -> float:
     """Logistic existence boundary kappa_c(r) = min_t E[(Z - t V)_+^2].
 
     The maximum-likelihood estimate exists asymptotically iff kappa is below
     it (Candes & Sur, Ann. Statist. 2020); V is the label-tilted variable,
     with density 2*phi(v)*sigmoid(r*v).  Given V the Z-integral is closed
     form, E[(Z - a)_+^2] = (1 + a^2) Phi(-a) - a phi(a) with a = t V, so
-    only V is integrated, on ``rule`` with the tilt in its weights.  Values
-    are memoized per (r_star, rule); a rule is keyed by identity, and
-    ``gauss_hermite`` returns one rule object per order.
+    only V is integrated, on the panels of ``tilt_nodes``; memoized per r_star.
     """
     from scipy.optimize import minimize_scalar  # deferred: costs ~0.25 s of CLI import
 
-    v = rule.nodes
-    wgt = rule.weights * 2.0 * expit(r_star * v)
+    v, wgt = tilt_nodes(r_star)
 
     def hinge(t):
         a = t * v
@@ -278,7 +275,7 @@ def require_existence(system: str, spec: ProblemSpec) -> None:
             raise LikelyNonExistence(f"{system} has no finite root for the monotone loss "
                                      f"{spec.loss.kind} at kappa={spec.kappa:g} >= 1/2")
     elif model == "logistic":
-        kc = kappa_critical(spec.r_star, spec.rule())
+        kc = kappa_critical(spec.r_star)
         if spec.kappa >= kc:
             raise LikelyNonExistence(
                 f"kappa={spec.kappa:g} is at or above the existence boundary "
@@ -360,6 +357,8 @@ def solve_system(system: str, spec: ProblemSpec, x0="auto",
             x, info = _restart_on_root_curve(system, spec, newton_from, first)
     else:
         if isinstance(x0, dict):
+            if missing := [n for n in sdef.params if n not in x0]:
+                raise ConfigError(f"x0 is missing parameters {missing}")
             start = np.array([float(x0[n]) for n in sdef.params])
         else:
             start = np.asarray(x0, dtype=float)

@@ -302,17 +302,9 @@ def lasso_signal_moments(prior: DistributionSpec, theta, gamma, thresh) -> Signa
     theta, gamma, thresh = (np.asarray(v, dtype=float)[..., None] for v in (theta, gamma, thresh))
     mean_s = theta * ms
     var = (theta * ss) ** 2 + gamma * gamma
-    spread = var > 0.0
-    # entries with var = 0 are point evaluations; give them a dummy sd
-    safe_var = np.where(spread, var, 1.0)
-    e1, e2, es, ep = soft_threshold_moments(mean_s, np.sqrt(safe_var), thresh)
-    if not spread.all():
-        val, der = losses.soft_threshold(mean_s, thresh)
-        e1, e2 = np.where(spread, e1, val), np.where(spread, e2, val * val)
-        es, ep = np.where(spread, es, mean_s * val), np.where(spread, ep, der)
-    cov_bs = theta * ss * ss
-    ebe = np.where(spread & (cov_bs != 0.0),
-                   ms * e1 + (cov_bs / safe_var) * (es - mean_s * e1), ms * e1)
+    e1, e2, es, ep = soft_threshold_moments(mean_s, np.sqrt(var), thresh)
+    # E[B eta] = m E[eta] + Cov(B, S)/Var(S) E[(S - E S) eta], 0 for an atom
+    ebe = ms * e1 + (theta * ss * ss / var) * (es - mean_s * e1)
     e1t, e2t, ebt, ept = ((wts * v).sum(axis=-1) for v in (e1, e2, ebe, ep))
     fields = (e1t, e2t, ebt, ept, e2t - 2.0 * ebt + prior.second_moment())
     return SignalMoments(*(float(f) if np.ndim(f) == 0 else f for f in fields))

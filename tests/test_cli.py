@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -150,6 +151,12 @@ def test_config_schema_rejections(tmp_path):
     path3 = tmp_path / "not_json.json"
     path3.write_text("{")
     assert main(["solve-se", "--system", "m-loo", "--config", str(path3)]) == 1
+    # huber needs its knee, and no other loss takes one
+    for loss in ({"kind": "quadratic", "delta": 1.0}, {"kind": "huber"}):
+        path4 = write_config(tmp_path, dict(QUAD_CONFIG, loss=loss), "loss.json")
+        with pytest.raises(ConfigError, match="delta"):
+            load_config(path4)
+        assert main(["solve-se", "--system", "m-loo", "--config", path4]) == 1
 
 
 def test_verify_equivalence_default_and_perturb(tmp_path):
@@ -166,6 +173,41 @@ def test_verify_equivalence_default_and_perturb(tmp_path):
                  "--kappa-grid", "0.25", "--perturb", "0.01"]) == 3
     rows = read_rows(out)
     assert rows[0]["passed"] == "false"
+
+    # at kappa = 0.01 the lasso_cgmt theta is within 1e-3 of its bound 1, so
+    # the perturbed point leaves the domain: no root, so the row fails
+    assert main(["verify-equivalence", "--config", cfg, "--out", out,
+                 "--kappa-grid", "0.01", "--perturb", "0.01"]) == 3
+    (row,) = read_rows(out)
+    assert float(row["theta"]) > 1.0
+    assert row["passed"] == "false" and row["status"] == "ok"
+    assert row["target_residual_norm"] == ""
+
+
+ABSOLUTE_CONFIG = dict(QUAD_CONFIG, loss={"kind": "absolute"}, kappa=0.95)
+
+
+def test_solve_se_failure_row(tmp_path):
+    # one Newton iteration from each start is too few at kappa = 0.95
+    cfg = write_config(tmp_path, ABSOLUTE_CONFIG)
+    out = str(tmp_path / "r.csv")
+    assert main(["solve-se", "--system", "m-loo", "--config", cfg, "--out", out,
+                 "--max-iter", "1"]) == 2
+    (row,) = read_rows(out)
+    assert row["status"] == "non_convergence"
+    assert math.isfinite(float(row["residual_norm"]))
+    assert row["iterations"] == "2"
+    assert row["tau1"] == ""
+
+
+def test_verify_solve_failure_rows(tmp_path):
+    cfg = write_config(tmp_path, ABSOLUTE_CONFIG)
+    out = str(tmp_path / "v.csv")
+    assert main(["verify-equivalence", "--pair", "m-loo:m-amp", "--kappa-grid", "0.95,0.5",
+                 "--config", cfg, "--out", out, "--max-iter", "1"]) == 2
+    rows = read_rows(out)
+    assert [r["status"] for r in rows] == ["solve_failed"] * 2
+    assert [r["passed"] for r in rows] == ["false"] * 2
 
 
 def test_verify_source_residual_is_the_source_solve(tmp_path):

@@ -79,7 +79,8 @@ RULE = gauss_hermite(61)
 
 def test_noise_pair_examples():
     sq = lambda s: s**2
-    assert expect_noise_sum(sq, two_point(1.0, 0.5), 0.0, RULE) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ConfigError, match="tau must be positive"):
+        expect_noise_sum(sq, two_point(1.0, 0.5), 0.0, RULE)
     val = expect_noise_sum(lambda s: s**4, point_mass(0.0), 1.0, RULE)
     assert val == pytest.approx(3.0, abs=1e-10)
     assert expect_noise_sum(sq, gaussian(0.0, 1.0), 1.0, RULE) == pytest.approx(2.0, abs=1e-10)
@@ -134,8 +135,9 @@ def test_signal_examples():
     assert mom.eta_sq == pytest.approx(1.0, abs=1e-12)
     mom = lasso_signal_moments(two_point(2.0, 0.5), 1.0, 1.0, 0.0)
     assert mom.eta == pytest.approx(0.0, abs=1e-13)
-    mom = lasso_signal_moments(bernoulli_gaussian(0.1, 3.0), 1.0, 0.0, 0.0)
-    assert mom.eta_sq == pytest.approx(0.9, abs=1e-12)
+    # gamma = 0 leaves the atom of the prior without spread
+    with pytest.raises(ConfigError, match="sd > 0"):
+        lasso_signal_moments(bernoulli_gaussian(0.1, 3.0), 1.0, 0.0, 0.0)
 
 
 def test_signal_weighted_matches_monte_carlo_free_identity():

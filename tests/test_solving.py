@@ -29,6 +29,7 @@ from hdse.solving import (
 )
 from hdse.systems import POSITIVITY_FLOOR, SYSTEMS, ProblemSpec
 from hdse.transforms import verify_equivalence
+from oracles import kappa_critical_adaptive
 
 # kappa_c(r*) of the logistic model to 1e-5.
 KAPPA_CRITICAL = {0.5: 0.48161, 1.0: 0.43894, 2.0: 0.34493}
@@ -108,6 +109,15 @@ def test_auto_init_unknown_system():
         solve_system("nosuch", spec)
     with pytest.raises(ConfigError):
         solve_system("lasso_amp", spec)  # model mismatch
+
+
+def test_dict_start_names_missing_parameters():
+    spec = ProblemSpec("m_estimator", kappa=0.5, loss=LossSpec("quadratic"),
+                       noise=gaussian(0.0, 1.0))
+    with pytest.raises(ConfigError, match=r"missing parameters \['lam1'\]"):
+        solve_system("m_loo", spec, x0={"tau1": 1.0})
+    sol = solve_system("m_loo", spec, x0={"tau1": 1.1, "lam1": 0.9})
+    assert sol.params == pytest.approx({"tau1": 1.0, "lam1": 1.0}, abs=1e-8)
 
 
 def test_logistic_start_is_the_first_best_finite_candidate(monkeypatch):
@@ -319,8 +329,7 @@ def test_monotone_m_loss_nonexistence(system, kind, kappa):
 
 @pytest.mark.parametrize("r_star", sorted(KAPPA_CRITICAL))
 def test_kappa_critical_values(r_star):
-    rule = ProblemSpec("logistic", kappa=0.1, r_star=r_star).rule()
-    assert kappa_critical(r_star, rule) == pytest.approx(KAPPA_CRITICAL[r_star], abs=1e-4)
+    assert kappa_critical(r_star) == pytest.approx(KAPPA_CRITICAL[r_star], abs=1e-4)
 
 
 def _hinge_minimum(r_star, order):
@@ -340,8 +349,15 @@ def _hinge_minimum(r_star, order):
 @pytest.mark.parametrize("r_star", sorted(KAPPA_CRITICAL))
 def test_kappa_critical_against_a_high_order_rule(r_star):
     # a 61x61 tensor grid with the hinge on it gave 0.3449073 at r* = 2
-    rule = ProblemSpec("logistic", kappa=0.1, r_star=r_star).rule()
-    assert abs(kappa_critical(r_star, rule) - _hinge_minimum(r_star, 401)) <= 1e-9
+    assert abs(kappa_critical(r_star) - _hinge_minimum(r_star, 401)) <= 1e-9
+
+
+@pytest.mark.parametrize("r_star", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+def test_kappa_critical_against_adaptive_quadrature(r_star):
+    # the tilt bends over a width 1/r*, which a Gauss-Hermite rule of any
+    # affordable order misses at r* >= 10; the panels resolve it
+    exact = kappa_critical_adaptive(r_star)
+    assert abs(kappa_critical(r_star) - exact) <= 1e-10 * exact
 
 
 def test_kappa_critical_minimizes_once_per_radius_and_rule(monkeypatch):
@@ -353,14 +369,12 @@ def test_kappa_critical_minimizes_once_per_radius_and_rule(monkeypatch):
     real = scipy.optimize.minimize_scalar
     monkeypatch.setattr(scipy.optimize, "minimize_scalar",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    rule = ProblemSpec("logistic", kappa=0.1, r_star=1.0).rule()
-    first = kappa_critical(0.77, rule)
-    assert kappa_critical(0.77, rule) == first and len(calls) == 1
+    first = kappa_critical(0.77)
+    assert kappa_critical(0.77) == first and len(calls) == 1
 
 
 def test_kappa_critical_tends_to_cover_bound():
-    rule = ProblemSpec("logistic", kappa=0.1, r_star=1.0).rule()
-    gaps = [0.5 - kappa_critical(r, rule) for r in (0.1, 0.01, 1e-3)]
+    gaps = [0.5 - kappa_critical(r) for r in (0.1, 0.01, 1e-3)]
     assert all(g > 0 for g in gaps[:-1])
     assert gaps[0] > gaps[1] > gaps[2]
     assert abs(gaps[-1]) < 1e-6

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hdse import losses, solving
+from hdse.errors import ConfigError
 from hdse.expectations import (
     bernoulli_gaussian,
     expect_noise_sum,
@@ -147,13 +148,13 @@ def test_noise_expectations_take_rows_and_stacked_integrands(noise):
 
 
 def test_point_rows_mix_with_panel_rows():
-    # tau = 0 on an atom noise is a point evaluation, next to a panel row
+    # tau = 0 on an atom noise is no Gaussian integral; a row with it is
+    # rejected, whatever the other rows
     rule = gauss_hermite(61)
     noise = two_point(1.0, 0.5)
     tau, kinks = np.array([0.0, 0.7]), (np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
-    got = expect_noise_sum(np.abs, noise, tau, rule, kinks=kinks)
-    assert got[0] == 1.0
-    assert got[1] == expect_noise_sum(np.abs, noise, 0.7, rule, kinks=(-0.5, 0.5))
+    with pytest.raises(ConfigError, match="tau must be positive"):
+        expect_noise_sum(np.abs, noise, tau, rule, kinks=kinks)
 
 
 @pytest.mark.parametrize("loss", M_LOSSES + (LossSpec("logistic_rho"), LossSpec("logistic_ell")),
