@@ -6,10 +6,10 @@ Subcommands
     simulate             Monte-Carlo replicates of the actual estimator vs SE
     amp                  AMP vs coordinate descent on a single instance
 
-Exit codes: 0 success, 1 configuration error, 2 non-convergence or estimator
-failure, 3 equivalence failure.  Output CSVs are fully rewritten with a
-header row; every row carries the artifact version, a hash of the effective
-config, and the quadrature order.
+Exit codes: 0 success, 1 configuration or usage error, 2 non-convergence or
+estimator failure, 3 equivalence failure.  Output CSVs are fully rewritten
+with a header row; every row carries the artifact version, a hash of the
+effective config, and the quadrature order.
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ def build_spec(cfg: dict, quad_order: int | None = None,
 
 def build_solver_options(cfg: dict, args) -> SolverOptions:
     solver = dict(cfg.get("solver", {}))
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         solver["tol"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
+    if args.max_iter is not None:
         solver["max_iter"] = args.max_iter
     return SolverOptions(**solver)
 
@@ -441,7 +441,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_amp(args) -> int:
     cfg = load_config(args.config)
-    spec = build_spec(cfg, quad_order=args.quad_order)
+    spec = build_spec(cfg)
     if spec.model != "lasso":
         raise ConfigError("the amp command requires a lasso config")
     n = cfg.get("n_grid", [800])[0]
@@ -487,30 +487,41 @@ def cmd_amp(args) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits with EXIT_CONFIG, as a bad config does: exit 2 means
+    non-convergence.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hdse",
         description="State-equation solving, equivalence verification, and "
                     "Monte-Carlo validation for high-dimensional regression.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_system=False):
+    def common(p, seed=False, solver=True):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="output CSV path (overrides config output_path)")
-        p.add_argument("--seed", type=int, help="base seed for simulation commands")
-        p.add_argument("--quad-order", type=int, dest="quad_order",
-                       help="Gauss-Hermite order per axis")
-        p.add_argument("--tol", type=float, help="solver residual tolerance")
-        p.add_argument("--max-iter", type=int, dest="max_iter",
-                       help="solver iteration budget")
+        if seed:
+            p.add_argument("--seed", type=int, help="base seed for simulation commands")
+        if solver:
+            p.add_argument("--quad-order", type=int, dest="quad_order",
+                           help="nodes per M-system quadrature panel and logistic "
+                                "Gauss-Hermite order")
+            p.add_argument("--tol", type=float, help="solver residual tolerance")
+            p.add_argument("--max-iter", type=int, dest="max_iter",
+                           help="solver iteration budget")
         p.add_argument("--emit-plot-data", action="store_true",
                        help="also write tidy long-format plot data")
-        if needs_system:
-            p.add_argument("--system", required=True,
-                           help="system id, e.g. m-loo, lasso-amp, logistic-cgmt")
 
     p = sub.add_parser("solve-se", help="solve one state-equation system")
-    common(p, needs_system=True)
+    common(p)
+    p.add_argument("--system", required=True,
+                   help="system id, e.g. m-loo, lasso-amp, logistic-cgmt")
     p.set_defaults(func=cmd_solve_se)
 
     p = sub.add_parser("verify-equivalence", help="solve-map-substitute checks")
@@ -523,11 +534,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_equivalence)
 
     p = sub.add_parser("simulate", help="Monte-Carlo validation of SE predictions")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("amp", help="AMP vs coordinate descent on one instance")
-    common(p)
+    common(p, seed=True, solver=False)
     p.set_defaults(func=cmd_amp)
     return parser
 

@@ -16,17 +16,16 @@ All state-equation integrals reduce to one of three shapes:
 the label-tilted V of density 2*phi(v)*sigmoid(r*v)) give tensor grids on
 which the tests integrate the logistic systems as an oracle.
 
-Gaussian directions use Gauss-Hermite quadrature in the probabilists'
-normalization (weights sum to 1).  Discrete laws are enumerated exactly.
-Integrands with derivative kinks (huber and absolute prox maps) are
-integrated with Gauss-Legendre panels of the same order, split at the kinks,
-because Gauss-Hermite loses most of its accuracy across a kink; the choice
-is made per integrand, so every row of a kinked call gets panels.  The prox
-output axis gets panels at the bends of the sigmoid for the same reason, and
-so does the label-tilted V of the logistic existence boundary
-(``tilt_nodes``); ``_panels`` builds all three panel rules.  Every Gaussian
-spread must be positive, as the systems declare their scales: no zero-spread
-point evaluation is special-cased.
+Discrete laws are enumerated exactly.  Every M-system integrand is summed on
+Gauss-Legendre panels cut where the prox kinks (huber, absolute) or bends
+(the logistic losses; ``losses.prox_kinks``): Gauss-Hermite loses most of
+its accuracy across a kink and misses a bend that narrows as the prox scale
+grows.  The prox output axis is cut at the sigmoid's bends for the same
+reason, and so is the label-tilted V of the logistic existence boundary
+(``tilt_nodes``); ``_panels`` builds all three rules.  Gauss-Hermite
+(probabilists' normalization, weights sum to 1) serves the logistic inner
+sums.  Every Gaussian spread must be positive, as the systems declare their
+scales: no zero-spread point evaluation is special-cased.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 from scipy.special import expit, ndtr, roots_hermitenorm, roots_legendre
 
 from .errors import ConfigError, NumericError
-from .losses import rho_prox
+from .losses import SIGMOID_BENDS, rho_prox
 
 DISTRIBUTION_KINDS = ("point_mass", "gaussian", "two_point", "bernoulli_gaussian")
 
@@ -51,14 +50,12 @@ PANEL_HALFWIDTH = 12.0
 
 _CHOLESKY_JITTER = 1e-12
 
-# Panel edges of ``prox_rho_nodes``: prox outputs where sigmoid(p) bends
-# (+-16 keep the panels narrow where t*sigmoid'(p) still decays like e^-|p|),
-# and the multiples of sd whose preimages in p are edges (the outer two bound
-# the window), solved to their roots by ``losses.rho_prox``.
-_SIGMOID_BENDS = np.array([-16.0, -8.0, -3.0, 0.0, 3.0, 8.0, 16.0])
+# Panel edges of ``prox_rho_nodes`` besides ``losses.SIGMOID_BENDS``: the
+# multiples of sd whose preimages in p are edges (the outer two bound the
+# window), solved to their roots by ``losses.rho_prox``.
 _PREIMAGE_SDS = np.array([-PANEL_HALFWIDTH, -7.0, -4.0, -2.0, 2.0, 4.0, 7.0, PANEL_HALFWIDTH])
 _TILT_SDS = np.array([-7.0, -4.0, -2.0, 0.0, 2.0, 4.0, 7.0])  # edges of ``tilt_nodes`` in v
-_TILT_BENDS = np.array([-16.0, -8.0, -3.0, 3.0, 8.0, 16.0])  # and in r*v
+_TILT_BENDS = SIGMOID_BENDS[SIGMOID_BENDS != 0.0]  # and in r*v
 
 
 @dataclass(frozen=True)
@@ -170,55 +167,21 @@ def _panels(lo, cuts, hi, order: int):
     return mid[..., None] + half[..., None] * u, half, w
 
 
-def _gauss_nodes(mean, sd, rule: QuadratureRule, kinks):
-    """Nodes and weights of E[g(X)], X ~ N(mean, sd^2), per row of mean/sd > 0.
-
-    Returns ``(x, w, dens, half)``: E[g(X)] is the sum over panels j of
-    ``half[..., j] * sum_k w * g(x) * dens`` over the last axis.  A smooth
-    integrand (no kinks) gets the Gauss-Hermite rule, with ``dens`` and
-    ``half`` None; a kinked one gets ``_panels`` on the +-PANEL_HALFWIDTH sd
-    window of every row, cut at the kinks.
-    """
-    mean, sd = np.asarray(mean, dtype=float), np.asarray(sd, dtype=float)
-    if not kinks:
-        return mean[..., None] + sd[..., None] * rule.nodes, rule.weights, None, None
-    lo = mean - PANEL_HALFWIDTH * sd
-    ks = np.empty(lo.shape + (len(kinks),))
-    for j, k in enumerate(kinks):
-        ks[..., j] = k
-    x, half, w = _panels(lo, ks, mean + PANEL_HALFWIDTH * sd, rule.order)
-    inv = 1.0 / (np.sqrt(2.0 * np.pi) * sd)
-    dens = inv[..., None, None] * np.exp(
-        -0.5 * ((x - mean[..., None, None]) / sd[..., None, None]) ** 2)
-    return x, w, dens, half
-
-
-def _gauss_sum(vals: np.ndarray, w, dens, half) -> np.ndarray:
-    """Contract g values on ``_gauss_nodes`` output to one value per row.
-
-    Each panel is one dot product over its nodes, and panels are added in
-    order, so a row's value does not depend on the other rows.
-    """
-    if dens is None:
-        return np.vecdot(vals, w)
-    panel = np.vecdot(vals * dens, w)
-    total = 0.0
-    for j in range(half.shape[-1]):
-        total = total + half[..., j] * panel[..., j]
-    return total
-
-
 def expect_noise_sum(g, noise: DistributionSpec, tau, rule: QuadratureRule, kinks=(),
                      zweighted=False):
-    """E[g(W + tau*Z)], W ~ noise independent of Z ~ N(0, 1), kink aware.
+    """E[g(W + tau*Z)], W ~ noise independent of Z ~ N(0, 1), on ``_panels`` of
+    max(rule.order, 16) nodes per component, over +-PANEL_HALFWIDTH sd of
+    W + tau*Z and cut at ``kinks`` (none gives one panel).
 
     ``tau`` and each kink are scalars or one value per row.  ``g`` is called
     once, on nodes whose leading axis is the row axis (the losses take a
     per-row prox scale on that axis), and may return several values stacked
     on leading axes.  ``zweighted`` (one flag, or one per stacked value)
     selects E[Z * g(W + tau*Z)] instead, as in ``expect_noise_zweighted``;
-    both kinds share the nodes.  Every ``tau`` must be positive.  Returns a
-    float for a scalar ``tau`` and a single value, else an array shaped
+    both kinds share the nodes.  Every ``tau`` must be positive.  Each panel
+    is one dot product over its nodes and panels are added in order, so a
+    row's value does not depend on the other rows.  Returns a float for a
+    scalar ``tau`` and a single value, else an array shaped
     ``(*stacked, *tau.shape)``.
     """
     tau = np.asarray(tau, dtype=float)
@@ -228,8 +191,15 @@ def expect_noise_sum(g, noise: DistributionSpec, tau, rule: QuadratureRule, kink
         raise ConfigError("noise law must be point_mass, two_point, or gaussian")
     wts, means, sds = np.array([c for c in noise.mixture() if c[0] != 0.0]).T
     tcol = tau[..., None]
-    x, w, dens, half = _gauss_nodes(means, np.hypot(sds, tcol), rule,
-                                    tuple(np.asarray(k, dtype=float)[..., None] for k in kinks))
+    sd = np.hypot(sds, tcol)
+    lo = means - PANEL_HALFWIDTH * sd
+    ks = np.empty(lo.shape + (len(kinks),))
+    for j, k in enumerate(kinks):
+        ks[..., j] = np.asarray(k, dtype=float)[..., None]
+    x, half, w = _panels(lo, ks, means + PANEL_HALFWIDTH * sd, rule.order)
+    centred = x - means[..., None, None]
+    dens = (1.0 / (np.sqrt(2.0 * np.pi) * sd))[..., None, None] * np.exp(
+        -0.5 * (centred / sd[..., None, None]) ** 2)
     vals = np.asarray(g(x))
     single = vals.ndim == x.ndim
     if single:
@@ -238,10 +208,12 @@ def expect_noise_sum(g, noise: DistributionSpec, tau, rule: QuadratureRule, kink
     if any(zflags):
         # Per component the pair (Z, S = W + tau*Z) is jointly Gaussian, so
         # E[Z g(S)] = Cov(Z, S)/Var(S) * E[(S - E S) g(S)].
-        centred = x - means.reshape((-1,) + (1,) * (x.ndim - tau.ndim - 1))
         vals = np.array([centred * v if z else v for v, z in zip(vals, zflags)])
         zfactor = tcol / (sds * sds + tcol * tcol)
-    comp = _gauss_sum(vals, w, dens, half)
+    panel = np.vecdot(vals * dens, w)
+    comp = 0.0
+    for j in range(half.shape[-1]):
+        comp = comp + half[..., j] * panel[..., j]
     totals = [0.0] * len(vals)
     for c, wt in enumerate(wts):
         for i, z in enumerate(zflags):
@@ -278,7 +250,7 @@ def prox_rho_nodes(sd, t, order: int):
     t = np.asarray(t, dtype=float)[:, None]
     m = sd.shape[0]
     ends = rho_prox(sd * _PREIMAGE_SDS, t)
-    bends = np.broadcast_to(_SIGMOID_BENDS, (m, _SIGMOID_BENDS.size))
+    bends = np.broadcast_to(SIGMOID_BENDS, (m, SIGMOID_BENDS.size))
     p, half, wl = _panels(ends[:, 0], np.concatenate([ends[:, 1:-1], bends], axis=1),
                           ends[:, -1], order // 4)
     p = p.reshape(m, -1)

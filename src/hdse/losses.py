@@ -30,8 +30,14 @@ LOSS_KINDS = ("quadratic", "absolute", "huber", "logistic_rho", "logistic_ell")
 # to ~10) for t <= 30, and 29 at t = 1e12.  Exhausting the cap raises
 # NumericError instead of returning an unconverged prox.  The logistic state
 # equations integrate in the prox output and solve only its panel edges; the
-# M systems with a logistic loss solve the prox at every node.
+# M systems with a logistic loss solve the prox at every panel node, on
+# panels cut at the images of ``SIGMOID_BENDS`` (``prox_kinks``).
 PROX_MAX_ITER = 100
+
+# Prox outputs p where sigmoid(p) bends.  The outer +-16 keep panels narrow
+# where t*sigmoid'(p) still decays like e^-|p|, so a large prox scale t does
+# not stretch one panel over the whole bend.
+SIGMOID_BENDS = np.array([-16.0, -8.0, -3.0, 0.0, 3.0, 8.0, 16.0])
 
 
 @dataclass(frozen=True)
@@ -273,9 +279,12 @@ def soft_threshold(x, t):
 
 
 def prox_kinks(loss: LossSpec, t) -> tuple:
-    """Abscissae where x -> prox(x; t) has a derivative jump (empty if smooth).
+    """Abscissae x where x -> prox(x; t) kinks or bends (empty for the quadratic).
 
-    One value per row for a per-row ``t``.
+    Huber and absolute prox maps have derivative jumps.  The logistic prox is
+    smooth but bends sharply at large t, so its cuts are the images
+    x = p + t*sigmoid(p) of the ``SIGMOID_BENDS`` p, in closed form (negated for
+    ``logistic_ell``, by its reflection).  One value per row for a per-row ``t``.
     """
     t = _check_t(t)
     if loss.kind == "absolute":
@@ -283,4 +292,7 @@ def prox_kinks(loss: LossSpec, t) -> tuple:
     if loss.kind == "huber":
         edge = loss.delta * (1.0 + t)
         return (-edge, edge)
+    if loss.kind in ("logistic_rho", "logistic_ell"):
+        sign = 1.0 if loss.kind == "logistic_rho" else -1.0
+        return tuple(sign * (p + t * expit(p)) for p in SIGMOID_BENDS)
     return ()

@@ -32,7 +32,7 @@ the solver clamps iterates into them (at ``POSITIVITY_FLOOR``, 0 and 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,15 +153,13 @@ class ProblemSpec:
             raise ConfigError("quad_order must be at least 3")
 
     def default_quad_order(self) -> int:
-        # Kinked integrands need no higher order: expect_noise_sum splits
-        # them into Gauss-Legendre panels at the kinks.
+        # The nodes per Gauss-Legendre panel of the M integrands (at least
+        # 16; the panels are cut where the prox kinks or bends) and the
+        # Gauss-Hermite order of the logistic systems' inner sums.
         return self.quad_order if self.quad_order is not None else DEFAULT_QUAD_ORDER
 
     def rule(self) -> QuadratureRule:
         return gauss_hermite(self.default_quad_order())
-
-    def with_kappa(self, kappa: float) -> "ProblemSpec":
-        return replace(self, kappa=kappa)
 
 
 @dataclass

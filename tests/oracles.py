@@ -45,3 +45,54 @@ def kappa_critical_adaptive(r_star: float) -> float:
                         epsabs=0.0, epsrel=1e-13)[0]
 
     return minimize_scalar(hinge, tol=1e-12).fun
+
+
+def m_residual_adaptive(system: str, p, spec) -> np.ndarray:
+    """Residual of ``m_loo``, ``m_amp`` or ``m_cgmt`` at one point ``p`` by
+    adaptive quadrature: ``quad`` per noise component over +-16 sd of
+    S = W + tau*Z, with breakpoints at the prox kinks and bends.  The
+    Z-weighted term uses the per-component Gaussian regression
+    E[Z g(S)] = tau/Var(S) * E[(S - E S) g(S)]."""
+    from scipy.integrate import quad
+    from scipy.stats import norm
+
+    from hdse import losses
+
+    loss, k = spec.loss, spec.kappa
+
+    def expect(g, tau, scale, zweighted=False):
+        cuts = [float(c) for c in losses.prox_kinks(loss, scale)]
+        total = 0.0
+        for wt, mean, sd in spec.noise.mixture():
+            if wt == 0.0:
+                continue
+            var = sd * sd + tau * tau
+            s = np.sqrt(var)
+            lo, hi = mean - 16.0 * s, mean + 16.0 * s
+
+            def f(x):
+                return g(x) * (x - mean if zweighted else 1.0) * norm.pdf(x, mean, s)
+
+            val = quad(f, lo, hi, points=[c for c in cuts if lo < c < hi], limit=400,
+                       epsabs=0.0, epsrel=1e-13)[0]
+            total += wt * (tau / var if zweighted else 1.0) * val
+        return total
+
+    if system == "m_loo":
+        tau, lam = p
+        e_pd = expect(lambda s: losses.prox_deriv(loss, s, lam), tau, lam)
+        e_sq = expect(lambda s: (s - losses.prox(loss, s, lam)) ** 2, tau, lam)
+        return np.array([e_pd - (1.0 - k), e_sq - k * tau * tau])
+    if system == "m_amp":
+        tau, lam = p
+        e_dx2 = expect(lambda s: losses.moreau_bundle(loss, s, lam).dm_dx ** 2, tau, lam)
+        e_dxx = expect(lambda s: losses.moreau_bundle(loss, s, lam).d2m_dx2, tau, lam)
+        return np.array([lam * lam * e_dx2 / k - tau * tau, lam * e_dxx - k])
+    tau, alpha, mu = p
+    b = alpha / mu
+    e_dt = expect(lambda s: losses.moreau_bundle(loss, s, b).dm_dt, tau, b)
+    e_z_dx = expect(lambda s: losses.moreau_bundle(loss, s, b).dm_dx, tau, b, zweighted=True)
+    rk = np.sqrt(k)
+    return np.array([0.5 * alpha - tau * rk - (alpha / mu ** 2) * e_dt,
+                     -mu * rk + e_z_dx,
+                     0.5 * mu + e_dt / mu])

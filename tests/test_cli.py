@@ -88,6 +88,31 @@ def test_solve_se_unknown_system(tmp_path, capsys):
     assert "m-loo" in err  # names the valid systems
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve-se", "--system", "m-loo"],                          # no --config
+    ["solve-se", "--system", "m-loo", "--config", "c.json", "--bogus"],
+    ["solve-se", "--system", "m-loo", "--config", "c.json", "--seed", "1"],
+    ["verify-equivalence", "--config", "c.json", "--seed", "1"],
+    ["amp", "--config", "c.json", "--tol", "1e-9"],
+    ["amp", "--config", "c.json", "--max-iter", "5"],
+    ["amp", "--config", "c.json", "--quad-order", "81"],
+], ids=["missing-config", "unknown-flag", "solve-seed", "verify-seed", "amp-tol",
+        "amp-max-iter", "amp-quad-order"])
+def test_usage_errors_exit_with_the_config_code(argv, capsys):
+    # exit 2 means non-convergence, so a usage error must not use it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage: hdse" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-se", "--help"])
+    assert exc.value.code == 0
+    assert "--system" in capsys.readouterr().out
+
+
 def test_solve_se_nonexistence_exit_code(tmp_path):
     cfg = write_config(tmp_path, {"model": "logistic", "kappa": 0.9, "r_star": 5.0})
     out = str(tmp_path / "r.csv")

@@ -308,6 +308,16 @@ def test_prox_kinks_locations():
     assert prox_kinks(LossSpec("huber", delta=1.345), 1.0) == (-edge, edge)
 
 
+@pytest.mark.parametrize("kind,sign", [("logistic_rho", 1.0), ("logistic_ell", -1.0)])
+@pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 10.0, 1e3])
+def test_logistic_cuts_are_the_images_of_the_sigmoid_bends(kind, sign, t):
+    loss = LossSpec(kind)
+    cuts = prox_kinks(loss, t)
+    assert len(cuts) == len(hdse.losses.SIGMOID_BENDS)
+    for y, bend in zip(cuts, hdse.losses.SIGMOID_BENDS):
+        assert abs(prox(loss, y, t) - sign * bend) <= 1e-12, (y, bend)
+
+
 def test_curvature_values():
     assert loss_curvature(LossSpec("quadratic"), 3.0) == 1.0
     assert loss_curvature(LossSpec("absolute"), 3.0) == 0.0

@@ -318,13 +318,47 @@ def test_zero_penalty_lasso_nonexistence(system, kappa):
 @pytest.mark.parametrize("kind", ["logistic_rho", "logistic_ell"])
 @pytest.mark.parametrize("system", ["m_loo", "m_amp", "m_cgmt"])
 def test_monotone_m_loss_nonexistence(system, kind, kappa):
-    # a monotone loss has no finite M-estimate once kappa > 1/2 (Wendel); at
-    # quadrature order 61 m_loo and m_amp still find spurious roots here
+    # a monotone loss has no finite M-estimate once kappa > 1/2 (Wendel); the
+    # check is the theory's answer, made before any iteration
     spec = ProblemSpec("m_estimator", kappa=kappa, loss=LossSpec(kind))
     with pytest.raises(LikelyNonExistence, match="monotone") as exc:
         solve_system(system, spec)
     assert exc.value.iterations is None    # raised before any iteration
-    require_existence(system, spec.with_kappa(0.45))
+    require_existence(system, dataclasses.replace(spec, kappa=0.45))
+
+
+@pytest.mark.parametrize("kind", ["logistic_rho", "logistic_ell"])
+def test_monotone_m_loss_boundary_from_both_sides(kind):
+    # tau1 -> infinity as kappa -> 1/2: the root at 0.49 is far out (adaptive
+    # quadrature on the prox output gives 16.0530220911), and 0.5 has none.
+    # A solve may stop anywhere within its 1e-9 residual tolerance, which
+    # this close to 1/2 is up to ~3e-10 of tau1.
+    spec = ProblemSpec("m_estimator", kappa=0.49, loss=LossSpec(kind))
+    sol = solve_system("m_loo", spec)
+    assert sol.params["tau1"] == pytest.approx(16.0530220911, rel=1e-9)
+    with pytest.raises(LikelyNonExistence):
+        solve_system("m_loo", dataclasses.replace(spec, kappa=0.5))
+
+
+@pytest.mark.parametrize("kind", ["logistic_rho", "logistic_ell"])
+def test_logistic_m_roots_do_not_move_with_the_order(kind):
+    spec = ProblemSpec("m_estimator", kappa=0.48, loss=LossSpec(kind))
+    low = solve_system("m_loo", spec).vector()
+    high = solve_system("m_loo", dataclasses.replace(spec, quad_order=121)).vector()
+    assert np.max(np.abs(high - low) / low) <= 1e-10, (low, high)
+
+
+@pytest.mark.parametrize("pair", [("m_loo", "m_cgmt"), ("m_cgmt", "m_loo")],
+                         ids=lambda pair: ">".join(pair))
+@pytest.mark.parametrize("kappa", [0.4, 0.48])
+@pytest.mark.parametrize("noise", [gaussian(0.0, 1.0), two_point(1.0, 0.5)],
+                         ids=["gaussian", "pm1"])
+def test_logistic_m_verifies_near_one_half(noise, kappa, pair):
+    # a rule that misses the logistic prox's bend (61 Gauss-Hermite nodes)
+    # fails these by 5e-7 at kappa = 0.4 up to 1e-3 at 0.48, against 1e-7
+    spec = ProblemSpec("m_estimator", kappa=kappa, loss=LossSpec("logistic_rho"), noise=noise)
+    report = verify_equivalence(*pair, spec)
+    assert report.passed, report
 
 
 @pytest.mark.parametrize("r_star", sorted(KAPPA_CRITICAL))

@@ -120,7 +120,7 @@ def test_m_stack_straddles_the_panel_branch():
         single = expect_noise_sum(lambda s, t=lam[i]: g(s, t), spec.noise, tau[i],
                                   spec.rule(), kinks=losses.prox_kinks(loss, lam[i]))
         assert np.array_equal(stacked[:, i], single)
-    # the out-of-window row integrates a smooth function: Gauss-Hermite agrees
+    # the out-of-window row integrates a smooth function: one uncut panel agrees
     plain = expect_noise_sum(lambda s: g(s, lam[1]), spec.noise, tau[1], spec.rule())
     assert np.max(np.abs(stacked[:, 1] - plain)) <= 1e-13
 

@@ -37,7 +37,8 @@ from hdse.systems import (
     residual_m_cgmt,
     residual_m_loo,
 )
-from oracles import logistic_loo_covariance
+from hdse.transforms import map_params
+from oracles import logistic_loo_covariance, m_residual_adaptive
 
 QUAD = LossSpec("quadratic")
 HUBER = LossSpec("huber", delta=1.345)
@@ -405,6 +406,26 @@ def test_logistic_residuals_match_the_tensor_formula(r_star, fraction, loo_root,
         got = SYSTEMS[system].residual(np.array(root), spec)
         oracle = tensor_logistic_residual(system, root, spec, 961)
         assert np.max(np.abs(got - oracle)) <= 1e-10, (system, got, oracle)
+
+
+@pytest.mark.parametrize("kappa", [0.2, 0.4, 0.48])
+@pytest.mark.parametrize("noise", [gaussian(0.0, 1.0), two_point(1.0, 0.5)],
+                         ids=["gaussian", "pm1"])
+@pytest.mark.parametrize("kind", ["logistic_rho", "logistic_ell"])
+def test_logistic_m_residuals_match_adaptive_quadrature(kind, noise, kappa):
+    # the logistic prox bends ever more sharply as tau grows towards
+    # kappa = 1/2; a rule that misses the bend (61 Gauss-Hermite nodes) is
+    # off by up to 2e-2 at kappa = 0.48
+    spec = ProblemSpec("m_estimator", kappa=kappa, loss=LossSpec(kind), noise=noise)
+    root = solving.solve_system("m_loo", spec).params
+    for scale in (1.0, 1.05):
+        point = {name: scale * value for name, value in root.items()}
+        for system in ("m_loo", "m_amp", "m_cgmt"):
+            mapped = point if system == "m_loo" else map_params(point, "m_loo", system, spec)
+            vec = np.array([mapped[name] for name in SYSTEMS[system].params])
+            got = SYSTEMS[system].residual(vec, spec)
+            oracle = m_residual_adaptive(system, vec, spec)
+            assert np.max(np.abs(got - oracle)) <= 1e-10, (system, scale, got, oracle)
 
 
 def test_names_the_benchmark_tracer_wraps_resolve():
