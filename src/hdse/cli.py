@@ -127,6 +127,9 @@ def _parse_distribution(obj: dict) -> DistributionSpec:
 
 def build_spec(cfg: dict, quad_order: int | None = None,
                kappa: float | None = None) -> ProblemSpec:
+    if cfg["model"] == "lasso" and (quad_order is not None or "quad_order" in cfg):
+        # the lasso systems integrate in closed form, so nothing reads an order
+        raise ConfigError("quad_order does not apply to the lasso model")
     loss = None
     if "loss" in cfg:
         loss = losses.LossSpec(cfg["loss"]["kind"], cfg["loss"].get("delta"))

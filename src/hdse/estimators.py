@@ -179,41 +179,69 @@ def _downdated_hessian(gram: np.ndarray, X: np.ndarray, w: np.ndarray,
 
 
 def fit_lasso_cd(data: Dataset, lambda_star: float) -> np.ndarray:
-    """Cyclic coordinate descent for 0.5||y - X beta||^2 + lambda*||beta||_1.
+    """Cyclic coordinate descent for 0.5||y - X beta||^2 + lambda*||beta||_1,
+    finished on its active set.
 
     Covariance-update form (Friedman, Hastie & Tibshirani 2010): the sweep
-    keeps corr = X'(y - X beta) and, when coordinate j moves by delta,
-    updates it with -delta times row j of the Gram matrix X'X, so a step
-    touches d numbers instead of n.  The iterates are those of the residual
-    form up to rounding.  A coordinate step reads corr[j] as a Python float
-    and daxpy updates corr in place, so the sweep makes no numpy scalar or
-    row view per coordinate.  The Gram matrix holds d*d floats: at most the
-    size of X when kappa <= 1 and kappa times it when kappa > 1.
-    """
-    from scipy.linalg.blas import daxpy
+    (``_cd_sweep``) keeps corr = X'(y - X beta) and, when coordinate j moves
+    by delta, updates it with -delta times row j of the Gram matrix G = X'X,
+    so a step touches d numbers instead of n.  Until the first finish the
+    iterates are those of the residual form up to rounding.  The Gram matrix
+    holds d*d floats: at most the size of X when kappa <= 1 and kappa times
+    it when kappa > 1.
 
+    Once the sign pattern s of beta has survived two whole sweeps and its
+    support A has |A| <= n, the lasso on that pattern is a linear system
+    (the active-set step of Osborne, Presnell & Turlach 2000):
+    G_AA b_A = (X'y)_A - lambda* s_A, solved by Cholesky.  The candidate b
+    is returned if its signs are s, every inactive j has
+    |(X'y - G b)_j| <= lambda* and the KKT certificate holds.  Otherwise CD
+    restarts from b, or, if a sign flipped, from the point of the segment
+    beta -> b where the first active coordinate reaches zero; on that
+    segment the objective is the convex quadratic of pattern s, so it does
+    not rise.  A Gram block that is not positive definite leaves CD
+    sweeping.  CD that meets CD_TOL first returns its own iterate.
+    """
     if lambda_star < 0:
         raise ConfigError("lambda_star must be nonnegative")
     X, y = data.design, data.response
     gram = X.T @ X
-    corr = X.T @ y
+    xty = X.T @ y
+    corr = xty.copy()
     # (j, X_j'X_j, gram row j) per nonzero column; row j is column j of the
     # symmetric gram, but contiguous
     coords = [(j, cj, gram[j]) for j, cj in enumerate(gram.diagonal().tolist()) if cj != 0.0]
     beta = [0.0] * data.d
+    signs, settled = np.zeros(data.d), 0
     for _ in range(CD_MAX_SWEEPS):
-        max_change = 0.0
-        for j, cj, row in coords:
-            old = beta[j]
-            rho = corr.item(j) + cj * old
-            new = math.copysign(max(abs(rho) - lambda_star, 0.0), rho) / cj
-            if new != old:
-                delta = new - old
-                daxpy(row, corr, a=-delta)  # updates corr in place
-                beta[j] = new
-                max_change = max(max_change, abs(delta))
+        max_change = _cd_sweep(coords, beta, corr, lambda_star)
         if max_change < CD_TOL:
             break
+        start = np.array(beta)
+        prev, signs = signs, np.sign(start)
+        settled = settled + 1 if np.array_equal(prev, signs) else 0
+        # try once the pattern has survived two whole sweeps: after one, more
+        # tries are rejected (52 against 34 factorizations over 20 fits of the
+        # kappa = 0.5, n = 2000 benchmark replicate), and each costs ~10 sweeps
+        if settled < 2 or np.count_nonzero(signs) > data.n:
+            continue
+        settled = 0
+        try:
+            cand = _active_set_solution(gram, xty, signs, lambda_star)
+        except np.linalg.LinAlgError:
+            continue
+        active = signs != 0.0
+        flipped = np.flatnonzero(active & (np.sign(cand) != signs))
+        if flipped.size:
+            # stop where the first active coordinate reaches zero
+            frac = start[flipped] / (start[flipped] - cand[flipped])
+            cand = start + frac.min() * (cand - start)
+            cand[flipped[frac == frac.min()]] = 0.0
+        corr = xty - gram @ cand
+        if (not flipped.size and np.all(np.abs(corr[~active]) <= lambda_star)
+                and kkt_residual_lasso(data, cand, lambda_star) < GRADIENT_TOL):
+            return cand
+        beta, signs = cand.tolist(), np.sign(cand)
     else:
         raise NonConvergence("coordinate descent did not converge", best=np.array(beta),
                              residual_norm=max_change, iterations=CD_MAX_SWEEPS)
@@ -223,6 +251,46 @@ def fit_lasso_cd(data: Dataset, lambda_star: float) -> np.ndarray:
         raise NonConvergence(f"coordinate descent finished with KKT residual {kkt:.3e}",
                              best=beta, residual_norm=kkt, iterations=CD_MAX_SWEEPS)
     return beta
+
+
+def _cd_sweep(coords: list, beta: list, corr: np.ndarray, lambda_star: float) -> float:
+    """One cyclic sweep over ``coords`` (j, G_jj, G row j); moves ``beta`` and
+    ``corr`` in place and returns the largest coordinate move.
+
+    A coordinate step reads corr[j] as a Python float and daxpy updates corr
+    in place, so the sweep makes no numpy scalar or row view per coordinate.
+    """
+    from scipy.linalg.blas import daxpy
+
+    max_change = 0.0
+    for j, cj, row in coords:
+        old = beta[j]
+        rho = corr.item(j) + cj * old
+        new = math.copysign(max(abs(rho) - lambda_star, 0.0), rho) / cj
+        if new != old:
+            delta = new - old
+            daxpy(row, corr, a=-delta)  # updates corr in place
+            beta[j] = new
+            max_change = max(max_change, abs(delta))
+    return max_change
+
+
+def _active_set_solution(gram: np.ndarray, xty: np.ndarray, signs: np.ndarray,
+                         lambda_star: float) -> np.ndarray:
+    """b with b_A = G_AA^-1 ((X'y)_A - lambda* s_A) on A = {s != 0}, zero off A.
+
+    The fancy-indexed block is a fresh copy; its transpose (the same
+    symmetric matrix) is Fortran-ordered, so cho_factor factors it in place.
+    Raises LinAlgError if G_AA is not positive definite.
+    """
+    from scipy.linalg import cho_factor, cho_solve
+
+    active = np.flatnonzero(signs)
+    factor = cho_factor(gram[np.ix_(active, active)].T, overwrite_a=True, check_finite=False)
+    cand = np.zeros_like(xty)
+    cand[active] = cho_solve(factor, xty[active] - lambda_star * signs[active],
+                             check_finite=False)
+    return cand
 
 
 def kkt_residual_lasso(data: Dataset, beta: np.ndarray, lambda_star: float) -> float:

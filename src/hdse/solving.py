@@ -212,7 +212,7 @@ def auto_init(system: str, spec: ProblemSpec, opts: SolverOptions | None = None)
         lo, hi = POSITIVITY_FLOOR, tau0
         gamma0 = spec.lambda_star
         if k >= 1.0 and row(lo) > 0.0:
-            from scipy.optimize import brentq  # deferred like minimize_scalar
+            from scipy.optimize import brentq  # deferred: costs ~0.2 s of CLI import
 
             while row(hi) > 0.0:
                 hi *= 2.0
@@ -237,23 +237,42 @@ def _clamp_for(sdef: SystemDef):
 
 @lru_cache(maxsize=16)
 def kappa_critical(r_star: float) -> float:
-    """Logistic existence boundary kappa_c(r) = min_t E[(Z - t V)_+^2].
+    """Logistic existence boundary kappa_c(r) = min_t h(t), h(t) = E[(Z - t V)_+^2].
 
     The maximum-likelihood estimate exists asymptotically iff kappa is below
     it (Candes & Sur, Ann. Statist. 2020); V is the label-tilted variable,
     with density 2*phi(v)*sigmoid(r*v).  Given V the Z-integral is closed
     form, E[(Z - a)_+^2] = (1 + a^2) Phi(-a) - a phi(a) with a = t V, so
     only V is integrated, on the panels of ``tilt_nodes``; memoized per r_star.
+    h is convex, h'(t) = -2 E[V (phi(a) - a Phi(-a))] and
+    h''(t) = 2 E[V^2 Phi(-a)] > 0, so the minimum is the root of h', found
+    by Newton steps that a sign bracket of h' keeps from t < 0 and overshoot.
     """
-    from scipy.optimize import minimize_scalar  # deferred: costs ~0.25 s of CLI import
-
     v, wgt = tilt_nodes(r_star)
 
-    def hinge(t):
+    def terms(t):
         a = t * v
-        return float(np.dot(wgt, (1.0 + a * a) * ndtr(-a) - a * np.exp(-0.5 * a * a) / _SQRT_2PI))
+        return a, ndtr(-a), np.exp(-0.5 * a * a) / _SQRT_2PI
 
-    return float(minimize_scalar(hinge).fun)
+    # h'(0) = -2 phi(0) E[V] <= 0, and h' > 0 once t is large
+    lo, hi, t = 0.0, np.inf, 1.0
+    for _ in range(200):
+        a, tail, dens = terms(t)
+        slope = -2.0 * np.dot(wgt, v * (dens - a * tail))
+        if slope < 0.0:
+            lo = t
+        else:
+            hi = t
+        step = t - slope / (2.0 * np.dot(wgt, v * v * tail))
+        if not lo <= step <= hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - t) <= 1e-12 * max(t, 1.0):
+            break
+        t = step
+    else:
+        raise NumericError(f"kappa_critical: Newton on h' did not settle at r_star={r_star:g}")
+    a, tail, dens = terms(step)
+    return float(np.dot(wgt, (1.0 + a * a) * tail - a * dens))
 
 
 def require_existence(system: str, spec: ProblemSpec) -> None:

@@ -96,3 +96,22 @@ def m_residual_adaptive(system: str, p, spec) -> np.ndarray:
     return np.array([0.5 * alpha - tau * rk - (alpha / mu ** 2) * e_dt,
                      -mu * rk + e_z_dx,
                      0.5 * mu + e_dt / mu])
+
+
+def lasso_on_support(X, y, lam: float, beta) -> np.ndarray:
+    """The l1 minimizer with the support A and signs s of ``beta``: the normal
+    equations X_A'X_A b_A = X_A'y - lam s_A solved by ``numpy.linalg.solve``.
+
+    Asserts that its own KKT residual is at most 1e-12, so a support or sign
+    pattern that is not the minimizer's fails here, not in the caller.
+    """
+    active = np.flatnonzero(beta)
+    xa = X[:, active]
+    exact = np.zeros(X.shape[1])
+    exact[active] = np.linalg.solve(xa.T @ xa, xa.T @ y - lam * np.sign(beta[active]))
+    g = X.T @ (X @ exact - y)
+    on = exact != 0.0
+    kkt = max(np.max(np.abs(g[on] + lam * np.sign(exact[on])), initial=0.0),
+              np.max(np.abs(g[~on]) - lam, initial=0.0))
+    assert kkt <= 1e-12, f"oracle KKT residual {kkt:.3e}"
+    return exact

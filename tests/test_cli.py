@@ -81,6 +81,21 @@ def test_solve_se_lasso_leaves_quad_order_empty(tmp_path):
     assert row["quad_order"] == ""
 
 
+@pytest.mark.parametrize("argv", [["solve-se", "--system", "lasso-amp"],
+                                  ["verify-equivalence", "--kappa-grid", "0.4"]],
+                         ids=["solve-se", "verify-equivalence"])
+def test_lasso_rejects_a_quad_order(tmp_path, capsys, argv):
+    # nothing reads an order on the lasso, so setting one is a config error
+    out = tmp_path / "r.csv"
+    flagged = [*argv, "--config", write_config(tmp_path, LASSO_CONFIG), "--out", str(out)]
+    assert main([*flagged, "--quad-order", "5"]) == 1
+    keyed = [*argv, "--config", write_config(tmp_path, dict(LASSO_CONFIG, quad_order=61), "k.json"),
+             "--out", str(out)]
+    assert main(keyed) == 1
+    assert capsys.readouterr().err.count("quad_order does not apply to the lasso model") == 2
+    assert not out.exists()
+
+
 def test_solve_se_unknown_system(tmp_path, capsys):
     cfg = write_config(tmp_path, QUAD_CONFIG)
     assert main(["solve-se", "--system", "nosuch", "--config", cfg]) == 1
@@ -314,11 +329,18 @@ def test_solver_flag_overrides(tmp_path):
     assert row["quad_order"] == "81"
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is a quarter of the CLI import time; only kappa_critical
-    # and the kappa >= 1 lasso start need it, and they import it themselves
-    code = "import sys, hdse.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-                         check=True)
-    assert out.stdout.strip() == "False"
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # scipy.optimize is a quarter of the CLI import time; only the kappa >= 1
+    # lasso start needs it and imports it itself.  A logistic solve-se, which
+    # computes kappa_critical, does not load it either.
+    cfg = write_config(tmp_path, {"model": "logistic", "kappa": 0.1, "r_star": 1.0,
+                                  "prior": {"kind": "gaussian", "mean": 0.0, "sd": 1.0}})
+    argv = ["solve-se", "--system", "logistic-loo", "--config", cfg,
+            "--out", str(tmp_path / "r.csv")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for code in ("import sys, hdse.cli; print('scipy.optimize' in sys.modules)",
+                 f"import sys, hdse.cli; assert hdse.cli.main({argv!r}) == 0; "
+                 "print('scipy.optimize' in sys.modules)"):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"

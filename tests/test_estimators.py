@@ -29,6 +29,7 @@ from hdse.expectations import bernoulli_gaussian, gaussian, point_mass
 from hdse.losses import LossSpec, soft_threshold
 from hdse.solving import kappa_critical
 from hdse.systems import ProblemSpec
+from oracles import lasso_on_support
 
 QUAD = LossSpec("quadratic")
 HUBER = LossSpec("huber", delta=1.345)
@@ -256,35 +257,45 @@ def column_cd(X, y, lam, tol=1e-10):
 @pytest.mark.parametrize("kappa", [0.4, 1.5])
 @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
 def test_gram_cd_matches_column_cd(kappa, lam):
+    # the fit ends on the exact minimizer of column CD's support and signs;
+    # at kappa=1.5, lam=0 the support has d > n coordinates, the minimizer
+    # is not unique and the finish never runs, so column CD stays the reference
     data = lasso_data(n=200, kappa=kappa, lam=lam)
     reference = column_cd(data.design, data.response, lam)
+    if data.d <= data.n or lam > 0.0:
+        reference = lasso_on_support(data.design, data.response, lam, reference)
     # 1e-12 on the coefficient scale: at kappa=1.5, lam=0 the interpolating
     # coefficients reach ~6 and the two summation orders differ by ~2e-12
     scale = max(1.0, float(np.max(np.abs(reference))))
     assert np.max(np.abs(fit_lasso_cd(data, lam) - reference)) < 1e-12 * scale
 
 
-def numpy_scalar_cd(data, lam, tol=1e-10):
+def numpy_scalar_sweep(gram, corr, beta, lam):
     """The covariance-update sweep indexing numpy scalars and rows per
-    coordinate: the reference for the bitwise equality of the lean sweep."""
-    X, y = data.design, data.response
-    gram = X.T @ X
-    corr = X.T @ y
-    col_sq = gram.diagonal().tolist()
+    coordinate: the reference for the bitwise equality of the lean sweep.
+    Moves ``beta`` in place; returns the new corr and the largest move."""
+    max_change = 0.0
+    for j, cj in enumerate(gram.diagonal().tolist()):
+        if cj == 0.0:
+            continue
+        old = beta[j]
+        rho = corr[j] + cj * old
+        new = math.copysign(max(abs(rho) - lam, 0.0), rho) / cj
+        if new != old:
+            delta = new - old
+            corr = daxpy(gram[j], corr, a=-delta)
+            beta[j] = new
+            max_change = max(max_change, abs(delta))
+    return corr, max_change
+
+
+def numpy_scalar_cd(data, lam, tol=1e-10):
+    """Plain covariance-update CD to ``tol``, with no active-set finish."""
+    gram = data.design.T @ data.design
+    corr = data.design.T @ data.response
     beta = [0.0] * data.d
     for _ in range(20000):
-        max_change = 0.0
-        for j, cj in enumerate(col_sq):
-            if cj == 0.0:
-                continue
-            old = beta[j]
-            rho = corr[j] + cj * old
-            new = math.copysign(max(abs(rho) - lam, 0.0), rho) / cj
-            if new != old:
-                delta = new - old
-                corr = daxpy(gram[j], corr, a=-delta)
-                beta[j] = new
-                max_change = max(max_change, abs(delta))
+        corr, max_change = numpy_scalar_sweep(gram, corr, beta, lam)
         if max_change < tol:
             return np.array(beta)
     raise AssertionError("reference coordinate descent did not converge")
@@ -294,7 +305,40 @@ def numpy_scalar_cd(data, lam, tol=1e-10):
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 def test_lean_cd_sweep_is_bitwise_equal(kappa, lam):
     data = lasso_data(n=200, kappa=kappa, lam=lam)
-    assert np.array_equal(fit_lasso_cd(data, lam), numpy_scalar_cd(data, lam))
+    gram = data.design.T @ data.design
+    coords = [(j, cj, gram[j]) for j, cj in enumerate(gram.diagonal().tolist()) if cj != 0.0]
+    lean, lean_corr = [0.0] * data.d, data.design.T @ data.response
+    ref, ref_corr = [0.0] * data.d, lean_corr.copy()
+    for _ in range(50):
+        change = estimators._cd_sweep(coords, lean, lean_corr, lam)
+        ref_corr, ref_change = numpy_scalar_sweep(gram, ref_corr, ref, lam)
+        assert change == ref_change and lean == ref
+        assert np.array_equal(lean_corr, ref_corr)
+
+
+def test_singular_active_block_keeps_sweeping(monkeypatch):
+    # a Gram block that fails to factor leaves plain CD, which stops at CD_TOL
+    data = lasso_data(n=200, kappa=0.5, lam=0.1)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(estimators, "_active_set_solution", singular)
+    assert np.array_equal(fit_lasso_cd(data, 0.1), numpy_scalar_cd(data, 0.1))
+
+
+def test_cd_finish_is_exact():
+    # plain CD stops at a move of 1e-10 with a KKT residual ~5e-11
+    data = lasso_data(n=400, kappa=0.5, lam=0.1)
+    assert kkt_residual_lasso(data, fit_lasso_cd(data, 0.1), 0.1) <= 1e-12
+
+
+def test_cd_finish_converges_beyond_kappa_one():
+    # plain CD meets its 20000-sweep cap here; the finish is tried many times
+    # and restarts CD from each rejected candidate
+    data = lasso_data(n=400, kappa=1.5, lam=0.01, seed=1)
+    beta = fit_lasso_cd(data, 0.01)
+    assert kkt_residual_lasso(data, beta, 0.01) <= 1e-12
 
 
 def test_cd_zero_penalty_is_ols():

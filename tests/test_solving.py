@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from hdse import solving
 from hdse.errors import (
     ConfigError,
     LikelyNonExistence,
@@ -396,15 +397,12 @@ def test_kappa_critical_against_adaptive_quadrature(r_star):
 
 def test_kappa_critical_minimizes_once_per_radius_and_rule(monkeypatch):
     # verify_equivalence asks for kappa_c once for the target and once in the
-    # solve; the minimization runs only the first time
-    import scipy.optimize
-
+    # solve; the tilted nodes are built, and h minimized, only the first time
     calls = []
-    real = scipy.optimize.minimize_scalar
-    monkeypatch.setattr(scipy.optimize, "minimize_scalar",
-                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    real = solving.tilt_nodes
+    monkeypatch.setattr(solving, "tilt_nodes", lambda r: calls.append(r) or real(r))
     first = kappa_critical(0.77)
-    assert kappa_critical(0.77) == first and len(calls) == 1
+    assert kappa_critical(0.77) == first and calls == [0.77]
 
 
 def test_kappa_critical_tends_to_cover_bound():
