@@ -17,7 +17,6 @@ from .errors import (
     NonConvergence,
     NumericError,
     SingularJacobian,
-    StateError,
 )
 from .expectations import (
     DistributionSpec,
@@ -50,7 +49,6 @@ __all__ = [
     "SeSolution",
     "SingularJacobian",
     "SolverOptions",
-    "StateError",
     "bernoulli_gaussian",
     "eval_loss",
     "gauss_hermite",

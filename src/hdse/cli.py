@@ -35,7 +35,7 @@ from .errors import (
 )
 from .expectations import DistributionSpec, bernoulli_gaussian, gaussian, point_mass, two_point
 from .solving import SolverOptions, solve_system
-from .systems import ProblemSpec, SeSolution, SYSTEMS, mse_candidates, system_for
+from .systems import ProblemSpec, SeSolution, SYSTEMS, mse_from_solution, system_for
 from .transforms import CANONICAL, verify_equivalence
 
 EXIT_OK = 0
@@ -49,8 +49,7 @@ _PROVENANCE = ("artifact_version", "config_hash", "quad_order")
 
 SOLVE_COLUMNS = ("experiment_id", "system", "model", "kappa", "sigma_star", "r_star",
                  "lambda_star", *PARAM_COLUMNS, "residual_norm", "iterations",
-                 "mse_nominal", "mse_reduction_checked", "status", "wall_time_ms",
-                 *_PROVENANCE)
+                 "mse", "status", "wall_time_ms", *_PROVENANCE)
 
 VERIFY_COLUMNS = ("experiment_id", "source_system", "target_system", "kappa",
                   "sigma_star", "r_star", "lambda_star", *PARAM_COLUMNS,
@@ -61,8 +60,7 @@ VERIFY_COLUMNS = ("experiment_id", "source_system", "target_system", "kappa",
 # No wall time here: simulate output is byte-identical for a fixed seed set.
 SIMULATE_COLUMNS = ("experiment_id", "system", "model", "n", "d", "seeds", "n_failed",
                     "kappa", "sigma_star", "r_star", "lambda_star",
-                    "se_signal_strength", "predicted_mse_nominal",
-                    "predicted_mse_reduction_checked", "empirical_mse_mean",
+                    "se_signal_strength", "predicted_mse", "empirical_mse_mean",
                     "empirical_mse_sd", "predicted_inflation",
                     "empirical_inflation_mean", "empirical_inflation_sd",
                     "predicted_noise_scale", "empirical_noise_scale_mean",
@@ -241,13 +239,13 @@ def cmd_solve_se(args) -> int:
 
     status, exit_code = "converged", EXIT_OK
     params, residual_norm, iterations = {}, None, None
-    mse_nominal = mse_reduction = None
+    mse = None
     t0 = time.perf_counter()
     try:
         sol = solve_system(system, spec, opts=opts)
         params = sol.params
         residual_norm, iterations = sol.residual_norm, sol.iterations
-        mse_nominal, mse_reduction = mse_candidates(sol, spec)
+        mse = mse_from_solution(sol, spec)
     except (NonConvergence, NumericError) as exc:
         status = ("likely_non_existence" if isinstance(exc, LikelyNonExistence)
                   else "non_convergence")
@@ -259,8 +257,7 @@ def cmd_solve_se(args) -> int:
 
     writer.add(experiment_id=f"solve:{system}:000", system=system, model=spec.model,
                **_spec_fields(spec), **params, residual_norm=residual_norm,
-               iterations=iterations, mse_nominal=mse_nominal,
-               mse_reduction_checked=mse_reduction, status=status, wall_time_ms=wall,
+               iterations=iterations, mse=mse, status=status, wall_time_ms=wall,
                **_provenance(cfg, spec))
     for name, value in params.items():
         writer.add_plot(f"solve:{system}:000", name, "", value)
@@ -319,16 +316,13 @@ def cmd_verify_equivalence(args) -> int:
                     res = report.target_residual_norm
                 passed = res <= report.tolerance
                 source_sol = SeSolution(source, report.source_solution,
-                                        report.source_residual_norm,
-                                        report.source_iterations, tol=opts.tol)
-                target_sol = SeSolution(target, mapped, float(res), 0,
-                                        tol=report.tolerance)
-                mse_source = mse_candidates(source_sol, spec)[1]
-                mse_target = mse_candidates(target_sol, spec)[1]
+                                        report.source_residual_norm, report.source_iterations)
+                target_sol = SeSolution(target, mapped, float(res), 0)
                 row.update(mapped, source_residual_norm=report.source_residual_norm,
                            target_residual_norm=float(res),
                            tolerance=report.tolerance, passed=passed,
-                           mse_source=mse_source, mse_target=mse_target)
+                           mse_source=mse_from_solution(source_sol, spec),
+                           mse_target=mse_from_solution(target_sol, spec))
                 if not passed:
                     exit_code = max(exit_code, EXIT_EQUIVALENCE)
                 writer.add_plot(eid, "target_residual_norm", kappa, float(res))
@@ -392,9 +386,9 @@ def cmd_simulate(args) -> int:
     system = sol.system
     # only the logistic_loo root has the (sigma, alpha1) pair
     pred_inflation, pred_noise = sol.params.get("sigma"), sol.params.get("alpha1")
-    # candidates use the actual prior moments; for the logistic model the
-    # solved (sigma, alpha1) keep their inflation/noise roles either way
-    pred_nominal, pred_reduction = mse_candidates(sol, spec)
+    # read with the actual prior moments; for the logistic model the solved
+    # (sigma, alpha1) keep their inflation/noise roles either way
+    pred_mse = mse_from_solution(sol, spec)
     exit_code = EXIT_OK
     for idx, n in enumerate(n_grid):
         eid = f"simulate:{system}:{idx:03d}"
@@ -419,8 +413,7 @@ def cmd_simulate(args) -> int:
         writer.add(experiment_id=eid, system=system, model=spec.model, n=n, d=d,
                    seeds=seeds, n_failed=n_failed, **_spec_fields(spec),
                    se_signal_strength=se_signal,
-                   predicted_mse_nominal=pred_nominal,
-                   predicted_mse_reduction_checked=pred_reduction,
+                   predicted_mse=pred_mse,
                    empirical_mse_mean=mean, empirical_mse_sd=sd,
                    predicted_inflation=pred_inflation,
                    empirical_inflation_mean=float(np.mean(inflations)) if inflations else None,
@@ -433,7 +426,7 @@ def cmd_simulate(args) -> int:
                    **_provenance(cfg, spec))
         if mean is not None:
             writer.add_plot(eid, "empirical_mse_mean", n, mean)
-            writer.add_plot(eid, "predicted_mse", n, pred_reduction)
+            writer.add_plot(eid, "predicted_mse", n, pred_mse)
     writer.write(args.emit_plot_data)
     return exit_code
 

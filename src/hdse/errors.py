@@ -9,10 +9,6 @@ class ConfigError(HdseError):
     """Invalid configuration, unknown name, or unsupported combination."""
 
 
-class StateError(HdseError):
-    """Operation requested on an object in the wrong state."""
-
-
 class NumericError(HdseError):
     """Numerical failure: non-finite values, failed decomposition, failed root find."""
 

@@ -167,10 +167,10 @@ def _panels(lo, cuts, hi, order: int):
     return mid[..., None] + half[..., None] * u, half, w
 
 
-def expect_noise_sum(g, noise: DistributionSpec, tau, rule: QuadratureRule, kinks=(),
+def expect_noise_sum(g, noise: DistributionSpec, tau, order: int, kinks=(),
                      zweighted=False):
     """E[g(W + tau*Z)], W ~ noise independent of Z ~ N(0, 1), on ``_panels`` of
-    max(rule.order, 16) nodes per component, over +-PANEL_HALFWIDTH sd of
+    max(order, 16) nodes per component, over +-PANEL_HALFWIDTH sd of
     W + tau*Z and cut at ``kinks`` (none gives one panel).
 
     ``tau`` and each kink are scalars or one value per row.  ``g`` is called
@@ -196,7 +196,7 @@ def expect_noise_sum(g, noise: DistributionSpec, tau, rule: QuadratureRule, kink
     ks = np.empty(lo.shape + (len(kinks),))
     for j, k in enumerate(kinks):
         ks[..., j] = np.asarray(k, dtype=float)[..., None]
-    x, half, w = _panels(lo, ks, means + PANEL_HALFWIDTH * sd, rule.order)
+    x, half, w = _panels(lo, ks, means + PANEL_HALFWIDTH * sd, order)
     centred = x - means[..., None, None]
     dens = (1.0 / (np.sqrt(2.0 * np.pi) * sd))[..., None, None] * np.exp(
         -0.5 * (centred / sd[..., None, None]) ** 2)
@@ -222,11 +222,10 @@ def expect_noise_sum(g, noise: DistributionSpec, tau, rule: QuadratureRule, kink
     return float(out) if np.ndim(out) == 0 else out
 
 
-def expect_noise_zweighted(g, noise: DistributionSpec, tau, rule: QuadratureRule,
-                           kinks=()):
+def expect_noise_zweighted(g, noise: DistributionSpec, tau, order: int, kinks=()):
     """E[Z * g(W + tau*Z)], W ~ noise independent of Z ~ N(0, 1), by the
     Gaussian regression in ``expect_noise_sum``: no derivative of g is taken."""
-    return expect_noise_sum(g, noise, tau, rule, kinks=kinks, zweighted=True)
+    return expect_noise_sum(g, noise, tau, order, kinks=kinks, zweighted=True)
 
 
 def prox_rho_nodes(sd, t, order: int):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .errors import ConfigError, StateError
+from .errors import ConfigError
 
 # expect_noise_zweighted, bivariate_nodes and zv_nodes are not called here
 # (m_cgmt asks expect_noise_sum for its Z-weighted integral, and the logistic
@@ -227,7 +227,7 @@ def residual_m_loo(p, spec: ProblemSpec) -> np.ndarray:
     e_pd, e_sq = expect_noise_sum(
         lambda s: np.array([losses.prox_deriv(loss, s, lam),
                             (s - losses.prox(loss, s, lam)) ** 2]),
-        spec.noise, tau, spec.rule(), kinks=losses.prox_kinks(loss, lam))
+        spec.noise, tau, spec.default_quad_order(), kinks=losses.prox_kinks(loss, lam))
     k = spec.kappa
     return _rows([e_pd - (1.0 - k), e_sq - k * tau * tau], single)
 
@@ -241,7 +241,7 @@ def residual_m_amp(p, spec: ProblemSpec) -> np.ndarray:
         b = losses.moreau_bundle(loss, s, lam)
         return np.array([b.dm_dx ** 2, b.d2m_dx2])
 
-    e_dx2, e_dxx = expect_noise_sum(envelope, spec.noise, tau, spec.rule(),
+    e_dx2, e_dxx = expect_noise_sum(envelope, spec.noise, tau, spec.default_quad_order(),
                                     kinks=losses.prox_kinks(loss, lam))
     k = spec.kappa
     return _rows([lam * lam * e_dx2 / k - tau * tau, lam * e_dxx - k], single)
@@ -264,7 +264,7 @@ def residual_m_cgmt(p, spec: ProblemSpec) -> np.ndarray:
         return np.array([mb.dm_dt, mb.dm_dx])
 
     # E[dm_dt(S)] and E[Z dm_dx(S)] on one node set
-    e_dt, e_z_dx = expect_noise_sum(envelope, spec.noise, tau, spec.rule(),
+    e_dt, e_z_dx = expect_noise_sum(envelope, spec.noise, tau, spec.default_quad_order(),
                                     kinks=losses.prox_kinks(loss, b), zweighted=(False, True))
     rk = np.sqrt(spec.kappa)
     return _rows([
@@ -419,7 +419,7 @@ def residual_logistic_cgmt(p, spec: ProblemSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Registry and MSE extraction
+# Registry and the MSE reading
 
 
 @dataclass(frozen=True)
@@ -468,43 +468,35 @@ def system_for(name: str) -> SystemDef:
             f"unknown system {name!r}; valid systems: {', '.join(sorted(SYSTEMS))}") from None
 
 
-def mse_candidates(sol: SeSolution, spec: ProblemSpec) -> tuple[float, float]:
-    """(nominal extraction, extraction pinned by the closed-form reductions).
-
-    The two coincide for the M-estimation systems.  For the lasso the nominal
-    reading of the solved parameters disagrees with the ordinary-least-squares
-    limit, so both are surfaced; the second entry is the value every oracle in
-    the test suite checks against.  Other systems are read at their root
-    mapped to the family's canonical system; ``lasso_cgmt`` has its own pair.
-    """
-    from .transforms import CANONICAL, map_params
-
-    p = sol.params
-    if sol.system == "lasso_cgmt":
-        reduction = p["sigma"] ** 2 + spec.kappa * (p["alpha"] - 1.0) ** 2 * spec.r_star ** 2
-        return p["lam"] / p["theta"], reduction
-    canonical = CANONICAL[system_for(sol.system).model]
-    if sol.system != canonical:
-        p = map_params(p, sol.system, canonical, spec)
-    if canonical == "m_loo":
-        v = p["tau1"] ** 2
-        return v, v
-    if canonical == "lasso_amp":
-        return p["tau1"] ** 2, p["tau1"] ** 2 - spec.sigma_star ** 2
-    inflation, noise_scale = p["sigma"], p["alpha1"]
-    prior_mean = spec.prior.mean()
-    m2 = spec.prior.second_moment()
-    nominal = ((inflation - 1.0) * prior_mean) ** 2 + noise_scale ** 2
-    reduction = spec.kappa * ((inflation - 1.0) ** 2 * m2 + noise_scale ** 2)
-    return nominal, reduction
-
-
 def mse_from_solution(sol: SeSolution, spec: ProblemSpec) -> float:
-    """MSE extraction used by verification; requires a converged solution."""
-    if not sol.converged:
-        raise StateError(
-            f"solution of {sol.system} has residual {sol.residual_norm}, above tol {sol.tol}")
-    nominal, reduction = mse_candidates(sol, spec)
-    if sol.system.startswith("logistic"):
-        return nominal
-    return reduction
+    """Limit of ||beta_hat - beta*||^2 / n at a root, read in the root's own
+    parameters.  Designs have entries of variance 1/n and d/n -> kappa.
+
+    - M-estimation: tau^2 (``tau1``, ``tau2`` or ``tau3``) is that limit (El
+      Karoui, Bean, Bickel, Lim & Yu, PNAS 2013); least squares gives
+      kappa*sigma*^2/(1 - kappa).
+    - ``lasso_amp``: the first equation is tau1^2 = sigma*^2 +
+      kappa*E[(eta - B)^2], the noise floor plus the estimation error, so
+      the MSE is tau1^2 - sigma*^2.
+    - Split beta_hat = s*beta* + o with o orthogonal to beta*.  Then
+      ||beta_hat - beta*||^2 / n = (d/n)*((s - 1)^2*||beta*||^2/d + ||o||^2/d)
+      exactly.
+      - logistic MLE: s = sigma and o has per-coordinate scale alpha1 (Sur &
+        Candes, PNAS 2019), so ``logistic_loo`` reads
+        kappa*((sigma - 1)^2*E[B^2] + alpha1^2).  ``logistic_cgmt`` has
+        sigma = mu/r*, alpha1 = alpha2/sqrt(kappa) and E[B^2] = r*^2, which
+        gives kappa*(mu - r*)^2 + alpha2^2, defined at r* = 0 too.
+      - ``lasso_cgmt``: s = alpha and ||o||^2/n = sigma^2, so the MSE is
+        sigma^2 + kappa*(alpha - 1)^2*r*^2.
+    """
+    p, k = sol.params, spec.kappa
+    if sol.system in ("m_loo", "m_amp", "m_cgmt"):
+        return p[SYSTEMS[sol.system].params[0]] ** 2
+    if sol.system == "lasso_amp":
+        return p["tau1"] ** 2 - spec.sigma_star ** 2
+    if sol.system == "lasso_cgmt":
+        return p["sigma"] ** 2 + k * (p["alpha"] - 1.0) ** 2 * spec.r_star ** 2
+    if sol.system == "logistic_loo":
+        inflation, noise_scale = p["sigma"], p["alpha1"]
+        return k * ((inflation - 1.0) ** 2 * spec.prior.second_moment() + noise_scale ** 2)
+    return k * (p["mu"] - spec.r_star) ** 2 + p["alpha2"] ** 2

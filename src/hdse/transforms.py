@@ -60,7 +60,7 @@ def _m_loo_to_cgmt(params, spec: ProblemSpec):
     # mu is pinned by the third CGMT equation at the fixed envelope scale lam
     e_dt = expect_noise_sum(
         lambda s: losses.moreau_bundle(spec.loss, s, lam).dm_dt,
-        spec.noise, tau, spec.rule(), kinks=losses.prox_kinks(spec.loss, lam))
+        spec.noise, tau, spec.default_quad_order(), kinks=losses.prox_kinks(spec.loss, lam))
     if e_dt >= 0:
         raise NumericError("envelope t-derivative must be negative at a root")
     mu = float(np.sqrt(-2.0 * e_dt))

@@ -137,6 +137,17 @@ def test_solve_se_nonexistence_exit_code(tmp_path):
     assert rows[0]["status"] == "likely_non_existence"
 
 
+def test_solve_se_keeps_a_logistic_cgmt_root_at_zero_signal(tmp_path):
+    # the root is read as kappa*mu^2 + alpha2^2, with no map to logistic_loo
+    cfg = write_config(tmp_path, {"model": "logistic", "kappa": 0.1})
+    out = str(tmp_path / "r.csv")
+    assert main(["solve-se", "--system", "logistic-cgmt", "--config", cfg, "--out", out]) == 0
+    row = read_rows(out)[0]
+    assert row["status"] == "converged" and float(row["r_star"]) == 0.0
+    alpha2, mu = float(row["alpha2"]), float(row["mu"])
+    assert float(row["mse"]) == pytest.approx(0.1 * mu ** 2 + alpha2 ** 2, rel=1e-14)
+
+
 def test_model_mismatch_exits_with_config_error(tmp_path):
     out = tmp_path / "r.csv"
     lasso_cfg = write_config(tmp_path, LASSO_CONFIG, "lasso.json")
@@ -163,14 +174,24 @@ PROVENANCE = ("artifact_version", "config_hash", "quad_order")
 def test_csv_headers_keep_their_columns_in_order(tmp_path):
     cfg = write_config(tmp_path, QUAD_CONFIG)
     solve, verify = str(tmp_path / "s.csv"), str(tmp_path / "v.csv")
+    simulate = str(tmp_path / "m.csv")
     assert main(["solve-se", "--system", "m-loo", "--config", cfg, "--out", solve]) == 0
     assert main(["verify-equivalence", "--config", cfg, "--out", verify,
                  "--pair", "m-loo:m-amp", "--kappa-grid", "0.3"]) == 0
+    assert main(["simulate", "--config", cfg, "--out", simulate, "--seed", "0"]) == 0
     with open(solve, newline="") as fh:
         assert tuple(next(csv.reader(fh))) == (
             "experiment_id", "system", "model", "kappa", "sigma_star", "r_star",
             "lambda_star", *PARAMS_IN_ORDER, "residual_norm", "iterations",
-            "mse_nominal", "mse_reduction_checked", "status", "wall_time_ms", *PROVENANCE)
+            "mse", "status", "wall_time_ms", *PROVENANCE)
+    with open(simulate, newline="") as fh:
+        assert tuple(next(csv.reader(fh))) == (
+            "experiment_id", "system", "model", "n", "d", "seeds", "n_failed",
+            "kappa", "sigma_star", "r_star", "lambda_star", "se_signal_strength",
+            "predicted_mse", "empirical_mse_mean", "empirical_mse_sd",
+            "predicted_inflation", "empirical_inflation_mean", "empirical_inflation_sd",
+            "predicted_noise_scale", "empirical_noise_scale_mean", "design_variance",
+            "status", *PROVENANCE)
     with open(verify, newline="") as fh:
         assert tuple(next(csv.reader(fh))) == (
             "experiment_id", "source_system", "target_system", "kappa",
@@ -290,7 +311,7 @@ def test_simulate_quadratic_prediction(tmp_path):
     out = str(tmp_path / "s.csv")
     assert main(["simulate", "--config", cfg, "--out", out, "--seed", "1"]) == 0
     row = read_rows(out)[0]
-    assert float(row["predicted_mse_reduction_checked"]) == pytest.approx(1.0, abs=1e-7)
+    assert float(row["predicted_mse"]) == pytest.approx(1.0, abs=1e-7)
     assert float(row["empirical_mse_mean"]) == pytest.approx(1.0, rel=0.25)
 
 

@@ -74,16 +74,17 @@ def test_rules_are_cached():
 # Noise-pair expectations
 
 
-RULE = gauss_hermite(61)
+ORDER = 61
+RULE = gauss_hermite(ORDER)
 
 
 def test_noise_pair_examples():
     sq = lambda s: s**2
     with pytest.raises(ConfigError, match="tau must be positive"):
-        expect_noise_sum(sq, two_point(1.0, 0.5), 0.0, RULE)
-    val = expect_noise_sum(lambda s: s**4, point_mass(0.0), 1.0, RULE)
+        expect_noise_sum(sq, two_point(1.0, 0.5), 0.0, ORDER)
+    val = expect_noise_sum(lambda s: s**4, point_mass(0.0), 1.0, ORDER)
     assert val == pytest.approx(3.0, abs=1e-10)
-    assert expect_noise_sum(sq, gaussian(0.0, 1.0), 1.0, RULE) == pytest.approx(2.0, abs=1e-10)
+    assert expect_noise_sum(sq, gaussian(0.0, 1.0), 1.0, ORDER) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_noise_sum_folding_matches_pair():
@@ -91,13 +92,13 @@ def test_noise_sum_folding_matches_pair():
     # fold into one quadrature over the sum must reproduce it
     mean, sd, tau = 0.2, 1.1, 0.8
     exact = np.cos(mean) * np.exp(-0.5 * (sd**2 + tau**2))
-    folded = expect_noise_sum(np.cos, gaussian(mean, sd), tau, RULE)
+    folded = expect_noise_sum(np.cos, gaussian(mean, sd), tau, ORDER)
     assert folded == pytest.approx(exact, abs=1e-12)
 
 
 def test_noise_must_not_be_bernoulli_gaussian():
     with pytest.raises(ConfigError):
-        expect_noise_sum(lambda s: s, bernoulli_gaussian(0.1, 1.0), 1.0, RULE)
+        expect_noise_sum(lambda s: s, bernoulli_gaussian(0.1, 1.0), 1.0, ORDER)
 
 
 def test_zweighted_matches_direct_tensor():
@@ -107,7 +108,7 @@ def test_zweighted_matches_direct_tensor():
     tau = 0.7
     for noise, e_sin_w in ((gaussian(0.0, 1.3), 0.0), (two_point(1.0, 0.4), -0.2 * np.sin(1.0))):
         exact = -tau * e_sin_w * np.exp(-0.5 * tau**2)
-        reduced = expect_noise_zweighted(np.cos, noise, tau, RULE)
+        reduced = expect_noise_zweighted(np.cos, noise, tau, ORDER)
         assert reduced == pytest.approx(exact, abs=1e-12)
 
 
@@ -117,10 +118,10 @@ def test_kinked_integrand_uses_panels():
     g = lambda x: np.clip(x, -a, a) ** 2
     ref = quad(lambda x: g(x) * np.exp(-0.5 * (x / s) ** 2) / (np.sqrt(2 * np.pi) * s),
                -15, 15, points=[-a, a], limit=200, epsabs=1e-14)[0]
-    val = expect_noise_sum(g, point_mass(0.0), s, RULE, kinks=(-a, a))
+    val = expect_noise_sum(g, point_mass(0.0), s, ORDER, kinks=(-a, a))
     assert val == pytest.approx(ref, abs=1e-12)
     # doubling the order moves the panel value by far less than 1e-9
-    val2 = expect_noise_sum(g, point_mass(0.0), s, gauss_hermite(122), kinks=(-a, a))
+    val2 = expect_noise_sum(g, point_mass(0.0), s, 122, kinks=(-a, a))
     assert abs(val - val2) < 1e-12
 
 
@@ -233,14 +234,14 @@ def test_zv_function_of_z_only_matches_plain_gaussian():
 def test_soft_threshold_moments_against_quadrature(mean, sd, thresh):
     from hdse.losses import soft_threshold
 
-    rule = gauss_hermite(61)
+    order = 61
     kinks = (-thresh, thresh)
     # E[g(mean + sd Z)] is the noise expectation with the noise a point mass at mean
     w = point_mass(mean)
-    e1_q = expect_noise_sum(lambda s: soft_threshold(s, thresh)[0], w, sd, rule, kinks)
-    e2_q = expect_noise_sum(lambda s: soft_threshold(s, thresh)[0] ** 2, w, sd, rule, kinks)
-    es_q = expect_noise_sum(lambda s: s * soft_threshold(s, thresh)[0], w, sd, rule, kinks)
-    ep_q = expect_noise_sum(lambda s: soft_threshold(s, thresh)[1], w, sd, rule, kinks)
+    e1_q = expect_noise_sum(lambda s: soft_threshold(s, thresh)[0], w, sd, order, kinks)
+    e2_q = expect_noise_sum(lambda s: soft_threshold(s, thresh)[0] ** 2, w, sd, order, kinks)
+    es_q = expect_noise_sum(lambda s: s * soft_threshold(s, thresh)[0], w, sd, order, kinks)
+    ep_q = expect_noise_sum(lambda s: soft_threshold(s, thresh)[1], w, sd, order, kinks)
     e1, e2, es, ep = soft_threshold_moments(mean, sd, thresh)
     assert e1 == pytest.approx(e1_q, abs=1e-11)
     assert e2 == pytest.approx(e2_q, abs=1e-11)
@@ -266,7 +267,9 @@ def test_soft_threshold_moments_zero_threshold():
 def test_prox_rho_nodes_against_adaptive_quadrature(sd, t):
     # t >> sd puts the whole window of Y inside the sigmoid's bend, and at
     # t = 1e8, 1e12 its edges take 20-30 Newton steps; the oracle solves the
-    # prox at every point scipy's adaptive rule asks for
+    # prox at every point scipy's adaptive rule asks for.  With full_output,
+    # quad returns its roundoff message instead of warning, and its error
+    # estimate must stay a tenth of the tolerance on the nodes
     y, sig, w = (a[0] for a in prox_rho_nodes(np.array([sd]), np.array([t]), 61))
     p_nodes = y - t * sig
     rho = LossSpec("logistic_rho")
@@ -279,14 +282,15 @@ def test_prox_rho_nodes_against_adaptive_quadrature(sd, t):
             return np.exp(-0.5 * (v / sd) ** 2) / (np.sqrt(2.0 * np.pi) * sd) * h(p, s, v)
 
         return quad(f, -12.0 * sd, 12.0 * sd, points=breaks, limit=400,
-                    epsabs=1e-13, epsrel=1e-12)[0]
+                    epsabs=1e-13, epsrel=1e-12, full_output=1)[:2]
 
     for got, h in ((w.sum(), lambda p, s, v: 1.0),
                    (w @ y ** 2, lambda p, s, v: v * v),
                    (w @ sig, lambda p, s, v: s),
                    (w @ (p_nodes * y), lambda p, s, v: p * v),
                    (w @ (sig * (1.0 - sig)), lambda p, s, v: s * (1.0 - s))):
-        want = oracle(h)
+        want, err = oracle(h)
+        assert err <= 1e-12 * max(1.0, abs(want)), (want, err)
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (got, want)
 
 

@@ -15,7 +15,6 @@ from hdse.expectations import (
     bernoulli_gaussian,
     expect_noise_sum,
     expect_noise_zweighted,
-    gauss_hermite,
     gaussian,
     point_mass,
     two_point,
@@ -112,22 +111,23 @@ def test_m_stack_straddles_the_panel_branch():
         return np.stack([losses.prox_deriv(loss, s, lam), losses.moreau_bundle(loss, s, lam).m])
 
     tau, lam = np.array([1.2, 0.5]), np.array([0.6, 20.0])
-    stacked = expect_noise_sum(lambda s: g(s, lam), spec.noise, tau, spec.rule(),
+    order = spec.default_quad_order()
+    stacked = expect_noise_sum(lambda s: g(s, lam), spec.noise, tau, order,
                                kinks=losses.prox_kinks(loss, lam))
     # one call on (rows, components, panels, nodes)
     assert len(seen) == 1 and seen[0][:3] == (2, 1, 3)
     for i in range(2):
         single = expect_noise_sum(lambda s, t=lam[i]: g(s, t), spec.noise, tau[i],
-                                  spec.rule(), kinks=losses.prox_kinks(loss, lam[i]))
+                                  order, kinks=losses.prox_kinks(loss, lam[i]))
         assert np.array_equal(stacked[:, i], single)
     # the out-of-window row integrates a smooth function: one uncut panel agrees
-    plain = expect_noise_sum(lambda s: g(s, lam[1]), spec.noise, tau[1], spec.rule())
+    plain = expect_noise_sum(lambda s: g(s, lam[1]), spec.noise, tau[1], order)
     assert np.max(np.abs(stacked[:, 1] - plain)) <= 1e-13
 
 
 @pytest.mark.parametrize("noise", [gaussian(0.0, 1.0), two_point(1.0, 0.3), point_mass(0.0)])
 def test_noise_expectations_take_rows_and_stacked_integrands(noise):
-    rule = gauss_hermite(61)
+    order = 61
     loss = LossSpec("huber", delta=1.0)
     tau = np.array([0.4, 1.5, 0.02, 3.0])
     lam = np.array([0.3, 1.0, 0.5, 40.0])
@@ -137,24 +137,23 @@ def test_noise_expectations_take_rows_and_stacked_integrands(noise):
         b = losses.moreau_bundle(loss, s, lam)
         return np.stack([b.dm_dt, b.dm_dx])
 
-    plain, zw = expect_noise_sum(pair, noise, tau, rule, kinks=kinks, zweighted=(False, True))
+    plain, zw = expect_noise_sum(pair, noise, tau, order, kinks=kinks, zweighted=(False, True))
     for i in range(len(tau)):
         k = losses.prox_kinks(loss, lam[i])
         assert plain[i] == expect_noise_sum(
-            lambda s: losses.moreau_bundle(loss, s, lam[i]).dm_dt, noise, tau[i], rule, kinks=k)
+            lambda s: losses.moreau_bundle(loss, s, lam[i]).dm_dt, noise, tau[i], order, kinks=k)
         assert zw[i] == expect_noise_zweighted(
-            lambda s: losses.moreau_bundle(loss, s, lam[i]).dm_dx, noise, tau[i], rule,
+            lambda s: losses.moreau_bundle(loss, s, lam[i]).dm_dx, noise, tau[i], order,
             kinks=k)
 
 
 def test_point_rows_mix_with_panel_rows():
     # tau = 0 on an atom noise is no Gaussian integral; a row with it is
     # rejected, whatever the other rows
-    rule = gauss_hermite(61)
     noise = two_point(1.0, 0.5)
     tau, kinks = np.array([0.0, 0.7]), (np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
     with pytest.raises(ConfigError, match="tau must be positive"):
-        expect_noise_sum(np.abs, noise, tau, rule, kinks=kinks)
+        expect_noise_sum(np.abs, noise, tau, 61, kinks=kinks)
 
 
 @pytest.mark.parametrize("loss", M_LOSSES + (LossSpec("logistic_rho"), LossSpec("logistic_ell")),

@@ -1,4 +1,4 @@
-"""Residual systems: closed-form roots, cross-identities, domains, MSE extraction."""
+"""Residual systems: closed-form roots, cross-identities, domains, the MSE reading."""
 
 import dataclasses
 import warnings
@@ -8,7 +8,7 @@ import pytest
 from scipy.special import expit
 
 from hdse import losses, solving, systems
-from hdse.errors import ConfigError, StateError
+from hdse.errors import ConfigError
 from hdse.expectations import (
     bernoulli_gaussian,
     bivariate_nodes,
@@ -27,7 +27,6 @@ from hdse.systems import (
     ProblemSpec,
     SeSolution,
     lasso_signal_moments,
-    mse_candidates,
     mse_from_solution,
     residual_lasso_amp,
     residual_lasso_cgmt,
@@ -124,7 +123,7 @@ def test_m_cgmt_quadratic_pinned_point():
     # with the envelope scale fixed at 1, mu is pinned by the Z-weighted equation
     tau, b = 1.0, 1.0
     e_z = expect_noise_zweighted(lambda s: moreau_bundle(QUAD, s, b).dm_dx,
-                                 spec.noise, tau, spec.rule())
+                                 spec.noise, tau, spec.default_quad_order())
     mu = np.sqrt(spec.kappa) * e_z / spec.kappa
     r = residual_m_cgmt({"tau3": tau, "alpha": b * mu, "mu": mu}, spec)
     assert np.max(np.abs(r)) < 1e-8
@@ -167,9 +166,9 @@ def test_stein_interchange_cross_check():
         tau, lam = 0.9, 0.7
         kinks = prox_kinks(loss, lam)
         lhs = expect_noise_zweighted(lambda s: moreau_bundle(loss, s, lam).dm_dx,
-                                     spec.noise, tau, spec.rule(), kinks=kinks)
+                                     spec.noise, tau, spec.default_quad_order(), kinks=kinks)
         rhs = tau * expect_noise_sum(lambda s: moreau_bundle(loss, s, lam).d2m_dx2,
-                                     spec.noise, tau, spec.rule(), kinks=kinks)
+                                     spec.noise, tau, spec.default_quad_order(), kinks=kinks)
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -491,7 +490,7 @@ def test_residual_rejects_an_empty_stack(name):
 
 
 # ---------------------------------------------------------------------------
-# MSE extraction
+# The MSE reading
 
 
 def test_mse_m_loo_matches_ols_oracle():
@@ -509,9 +508,6 @@ def test_mse_lasso_amp_subtracts_noise_floor():
     spec = lasso_spec(0.5, lam=0.0, prior=point_mass(0.0))
     sol = SeSolution("lasso_amp", {"tau1": np.sqrt(2.0), "gamma1": 0.0}, 1e-12, 1)
     assert mse_from_solution(sol, spec) == pytest.approx(1.0)
-    nominal, reduction = mse_candidates(sol, spec)
-    assert nominal == pytest.approx(2.0)
-    assert reduction == pytest.approx(1.0)
 
 
 def test_mse_lasso_cgmt_equals_amp_value_at_mapped_root():
@@ -530,14 +526,33 @@ def test_mse_lasso_cgmt_equals_amp_value_at_mapped_root():
     assert alt == pytest.approx(cg_mse, rel=1e-6)
 
 
-def test_mse_logistic_centered_prior_drops_mean_term():
+def test_mse_logistic_keeps_the_inflation_bias_of_a_centered_prior():
+    # kappa*((sigma - 1)^2 E[B^2] + alpha1^2): a centered prior still has E[B^2] = r*^2
     spec = ProblemSpec("logistic", kappa=0.1, r_star=1.0)
     sol = SeSolution("logistic_loo", {"alpha1": 2.0, "sigma": 1.3, "lam1": 0.5}, 1e-12, 1)
-    assert mse_from_solution(sol, spec) == pytest.approx(4.0)
+    assert mse_from_solution(sol, spec) == pytest.approx(0.1 * (0.3 ** 2 + 2.0 ** 2), rel=1e-14)
 
 
-def test_mse_requires_convergence():
-    spec = m_spec(0.5)
-    sol = SeSolution("m_loo", {"tau1": 1.0, "lam1": 1.0}, residual_norm=1.0, iterations=5)
-    with pytest.raises(StateError):
-        mse_from_solution(sol, spec)
+def test_mse_logistic_reading_is_the_fit_own_decomposition():
+    # beta_hat = inflation*beta* + (orthogonal part of norm sqrt(d)*noise_scale),
+    # so ||beta_hat - beta*||^2/n is the logistic_loo reading at the fit's own
+    # (inflation, noise scale), kappa = d/n and E[B^2] = ||beta*||^2/d
+    from hdse.estimators import (empirical_mse, fit_logistic_mle, gen_logistic_data,
+                                 logistic_overlap)
+
+    data = gen_logistic_data(ProblemSpec("logistic", kappa=0.1, r_star=1.0), 2000, seed=0)
+    beta = fit_logistic_mle(data)
+    inflation, noise_scale = logistic_overlap(beta, data)
+    m2 = float(np.dot(data.truth, data.truth)) / data.d
+    spec = ProblemSpec("logistic", kappa=data.d / data.n, r_star=float(np.sqrt(m2)))
+    sol = SeSolution("logistic_loo", {"alpha1": noise_scale, "sigma": inflation, "lam1": 1.0},
+                     0.0, 0)
+    assert mse_from_solution(sol, spec) == pytest.approx(empirical_mse(beta, data), rel=1e-12)
+
+
+def test_mse_logistic_cgmt_reads_its_own_coordinates_at_zero_signal():
+    # the loo coordinate sigma = mu/r* is undefined at r* = 0; the cgmt
+    # reading kappa*(mu - r*)^2 + alpha2^2 is not
+    spec = ProblemSpec("logistic", kappa=0.2, prior=point_mass(0.0), r_star=0.0)
+    sol = SeSolution("logistic_cgmt", {"alpha2": 0.7, "mu": 0.1, "lam2": 0.5}, 0.0, 0)
+    assert mse_from_solution(sol, spec) == pytest.approx(0.2 * 0.1 ** 2 + 0.7 ** 2, rel=1e-14)
