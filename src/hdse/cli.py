@@ -9,7 +9,9 @@ Subcommands
 Exit codes: 0 success, 1 configuration or usage error, 2 non-convergence or
 estimator failure, 3 equivalence failure.  Output CSVs are fully rewritten
 with a header row; every row carries the artifact version, a hash of the
-effective config, and the quadrature order.
+config, and the quadrature order.  The config holds every setting that shapes
+a result, so its hash identifies the result; the flags say only what to run
+and where its output goes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -123,9 +126,8 @@ def _parse_distribution(obj: dict) -> DistributionSpec:
     return _DISTRIBUTIONS[obj["kind"]](**params)
 
 
-def build_spec(cfg: dict, quad_order: int | None = None,
-               kappa: float | None = None) -> ProblemSpec:
-    if cfg["model"] == "lasso" and (quad_order is not None or "quad_order" in cfg):
+def build_spec(cfg: dict, kappa: float | None = None) -> ProblemSpec:
+    if cfg["model"] == "lasso" and "quad_order" in cfg:
         # the lasso systems integrate in closed form, so nothing reads an order
         raise ConfigError("quad_order does not apply to the lasso model")
     loss = None
@@ -140,17 +142,8 @@ def build_spec(cfg: dict, quad_order: int | None = None,
         sigma_star=cfg.get("sigma_star"),
         r_star=cfg.get("r_star"),
         lambda_star=cfg.get("lambda_star", 0.0),
-        quad_order=quad_order if quad_order is not None else cfg.get("quad_order"),
+        quad_order=cfg.get("quad_order"),
     )
-
-
-def build_solver_options(cfg: dict, args) -> SolverOptions:
-    solver = dict(cfg.get("solver", {}))
-    if args.tol is not None:
-        solver["tol"] = args.tol
-    if args.max_iter is not None:
-        solver["max_iter"] = args.max_iter
-    return SolverOptions(**solver)
 
 
 def _fmt(value) -> str:
@@ -199,12 +192,10 @@ class ReportWriter:
 
 
 def _cli_system(name: str) -> str:
-    if name in _CLI_SYSTEMS:
-        return _CLI_SYSTEMS[name]
-    if name in SYSTEMS:
-        return name
-    valid = ", ".join(sorted(_CLI_SYSTEMS))
-    raise ConfigError(f"unknown system {name!r}; valid systems: {valid}")
+    if name not in _CLI_SYSTEMS:
+        valid = ", ".join(sorted(_CLI_SYSTEMS))
+        raise ConfigError(f"unknown system {name!r}; valid systems: {valid}")
+    return _CLI_SYSTEMS[name]
 
 
 def _provenance(cfg: dict, spec: ProblemSpec) -> dict:
@@ -232,10 +223,9 @@ def _spec_fields(spec: ProblemSpec) -> dict:
 def cmd_solve_se(args) -> int:
     cfg = load_config(args.config)
     system = _cli_system(args.system)
-    spec = build_spec(cfg, quad_order=args.quad_order)
-    opts = build_solver_options(cfg, args)
-    out = args.out or cfg.get("output_path") or "solve_se.csv"
-    writer = ReportWriter(out, SOLVE_COLUMNS)
+    spec = build_spec(cfg)
+    opts = SolverOptions(**cfg.get("solver", {}))
+    writer = ReportWriter(args.out, SOLVE_COLUMNS)
 
     status, exit_code = "converged", EXIT_OK
     params, residual_norm, iterations = {}, None, None
@@ -271,10 +261,9 @@ def cmd_solve_se(args) -> int:
 
 def cmd_verify_equivalence(args) -> int:
     cfg = load_config(args.config)
-    base_spec = build_spec(cfg, quad_order=args.quad_order)
-    opts = build_solver_options(cfg, args)
-    out = args.out or cfg.get("output_path") or "verify_equivalence.csv"
-    writer = ReportWriter(out, VERIFY_COLUMNS)
+    base_spec = build_spec(cfg)
+    opts = SolverOptions(**cfg.get("solver", {}))
+    writer = ReportWriter(args.out, VERIFY_COLUMNS)
 
     if args.pair:
         try:
@@ -284,16 +273,13 @@ def cmd_verify_equivalence(args) -> int:
         pairs = ((_cli_system(source), _cli_system(target)),)
     else:
         pairs = _DEFAULT_PAIRS[base_spec.model]
-    if args.kappa_grid:
-        grid = tuple(float(v) for v in args.kappa_grid.split(","))
-    else:
-        grid = _DEFAULT_KAPPA_GRID[base_spec.model]
+    grid = args.kappa_grid or _DEFAULT_KAPPA_GRID[base_spec.model]
 
     exit_code = EXIT_OK
     index = 0
     for source, target in pairs:
         for kappa in grid:
-            spec = build_spec(cfg, quad_order=args.quad_order, kappa=kappa)
+            spec = build_spec(cfg, kappa=kappa)
             eid = f"verify:{source}->{target}:{index:03d}"
             index += 1
             t0 = time.perf_counter()
@@ -374,13 +360,11 @@ def _se_prediction(spec: ProblemSpec, opts: SolverOptions) -> tuple[SeSolution, 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    spec = build_spec(cfg, quad_order=args.quad_order)
-    opts = build_solver_options(cfg, args)
+    spec = build_spec(cfg)
+    opts = SolverOptions(**cfg.get("solver", {}))
     n_grid = cfg.get("n_grid", [1000])
     seeds = cfg.get("seeds", 1)
-    base_seed = args.seed if args.seed is not None else 0
-    out = args.out or cfg.get("output_path") or "simulate.csv"
-    writer = ReportWriter(out, SIMULATE_COLUMNS)
+    writer = ReportWriter(args.out, SIMULATE_COLUMNS)
 
     sol, se_signal = _se_prediction(spec, opts)
     system = sol.system
@@ -396,7 +380,7 @@ def cmd_simulate(args) -> int:
         n_failed = 0
         for rep in range(seeds):
             try:
-                mse, inflation, noise_scale = _simulate_one(spec, n, base_seed, rep)
+                mse, inflation, noise_scale = _simulate_one(spec, n, args.seed, rep)
                 mses.append(mse)
                 if inflation is not None:
                     inflations.append(inflation)
@@ -441,17 +425,15 @@ def cmd_amp(args) -> int:
     if spec.model != "lasso":
         raise ConfigError("the amp command requires a lasso config")
     n = cfg.get("n_grid", [800])[0]
-    seed = args.seed if args.seed is not None else 0
-    out = args.out or cfg.get("output_path") or "amp.csv"
-    writer = ReportWriter(out, AMP_COLUMNS)
+    writer = ReportWriter(args.out, AMP_COLUMNS)
 
     t0 = time.perf_counter()
-    data = estimators.gen_linear_data(spec, n, seed)
+    data = estimators.gen_linear_data(spec, n, args.seed)
     state, trajectory = estimators.amp_lasso(data, spec.lambda_star)
-    eid = f"amp:lasso:{seed}"
+    eid = f"amp:lasso:{args.seed}"
     for it, gamma, est_tau in trajectory:
         writer.add(experiment_id=eid, row_type="trajectory", n=n, d=data.d,
-                   lambda_star=spec.lambda_star, seed=seed, iter=it, gamma=gamma,
+                   lambda_star=spec.lambda_star, seed=args.seed, iter=it, gamma=gamma,
                    est_tau=est_tau, **_provenance(cfg, spec))
         writer.add_plot(eid, "gamma", it, gamma)
         writer.add_plot(eid, "est_tau", it, est_tau)
@@ -471,7 +453,7 @@ def cmd_amp(args) -> int:
         kkt_cd = estimators.kkt_residual_lasso(data, beta_cd, spec.lambda_star)
     wall = (time.perf_counter() - t0) * 1e3
     writer.add(experiment_id=eid, row_type="summary", n=n, d=data.d,
-               lambda_star=spec.lambda_star, seed=seed, gap_max_norm=gap,
+               lambda_star=spec.lambda_star, seed=args.seed, gap_max_norm=gap,
                kkt_amp=kkt_amp, kkt_cd=kkt_cd, amp_converged=state.converged,
                amp_diverged=state.diverged, amp_iterations=state.iter, status=status,
                wall_time_ms=wall, **_provenance(cfg, spec))
@@ -492,6 +474,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _checked(convert, accept, expected: str):
+    """An argparse type: convert the text, then reject what ``accept`` refuses."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hdse",
@@ -499,42 +496,42 @@ def build_parser() -> argparse.ArgumentParser:
                     "Monte-Carlo validation for high-dimensional regression.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, solver=True):
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", help="output CSV path (overrides config output_path)")
+    def common(p, out, seed=False):
+        p.add_argument("--config", required=True,
+                       help="JSON config path; it holds every setting that shapes the result")
+        p.add_argument("--out", default=out, help="output CSV path (default: %(default)s)")
         if seed:
-            p.add_argument("--seed", type=int, help="base seed for simulation commands")
-        if solver:
-            p.add_argument("--quad-order", type=int, dest="quad_order",
-                           help="nodes per M-system quadrature panel and logistic "
-                                "Gauss-Hermite order")
-            p.add_argument("--tol", type=float, help="solver residual tolerance")
-            p.add_argument("--max-iter", type=int, dest="max_iter",
-                           help="solver iteration budget")
+            p.add_argument("--seed", default=0,
+                           type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
+                           help="base seed (default: %(default)s)")
         p.add_argument("--emit-plot-data", action="store_true",
                        help="also write tidy long-format plot data")
 
     p = sub.add_parser("solve-se", help="solve one state-equation system")
-    common(p)
+    common(p, "solve_se.csv")
     p.add_argument("--system", required=True,
                    help="system id, e.g. m-loo, lasso-amp, logistic-cgmt")
     p.set_defaults(func=cmd_solve_se)
 
     p = sub.add_parser("verify-equivalence", help="solve-map-substitute checks")
-    common(p)
+    common(p, "verify_equivalence.csv")
     p.add_argument("--pair", help="source:target systems, e.g. lasso-amp:lasso-cgmt")
     p.add_argument("--kappa-grid", dest="kappa_grid",
+                   type=_checked(lambda text: tuple(map(float, text.split(","))),
+                                 lambda grid: all(0 < k < math.inf for k in grid),
+                                 "comma-separated positive finite numbers"),
                    help="comma-separated kappa grid (defaults per model)")
-    p.add_argument("--perturb", type=float, default=0.0,
+    p.add_argument("--perturb", default=0.0,
+                   type=_checked(float, math.isfinite, "a finite number"),
                    help="test hook: corrupt mapped parameters by this relative amount")
     p.set_defaults(func=cmd_verify_equivalence)
 
     p = sub.add_parser("simulate", help="Monte-Carlo validation of SE predictions")
-    common(p, seed=True)
+    common(p, "simulate.csv", seed=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("amp", help="AMP vs coordinate descent on one instance")
-    common(p, seed=True, solver=False)
+    common(p, "amp.csv", seed=True)
     p.set_defaults(func=cmd_amp)
     return parser
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import losses
 from .errors import ConfigError, MleNonExistence, NonConvergence
@@ -85,8 +86,6 @@ def gen_linear_data(spec: ProblemSpec, n: int, seed: int, replicate: int = 0) ->
 
 def gen_logistic_data(spec: ProblemSpec, n: int, seed: int, replicate: int = 0) -> Dataset:
     """Labels +-1 with P(y = 1 | x) = sigmoid(x' beta*)."""
-    from scipy.special import expit
-
     d = _dimensions(spec, n)
     rng = make_rng(seed, replicate)
     design = rng.normal(0.0, 1.0 / np.sqrt(n), (n, d))
@@ -348,8 +347,6 @@ def fit_logistic_mle(data: Dataset) -> np.ndarray:
     the max-margin LP point is checked, and NonConvergence is raised if it
     does not separate.
     """
-    from scipy.special import expit
-
     X, y = data.design, data.response
     n = data.n
     beta = np.zeros(data.d)

@@ -87,11 +87,9 @@ def test_solve_se_lasso_leaves_quad_order_empty(tmp_path):
 def test_lasso_rejects_a_quad_order(tmp_path, capsys, argv):
     # nothing reads an order on the lasso, so setting one is a config error
     out = tmp_path / "r.csv"
-    flagged = [*argv, "--config", write_config(tmp_path, LASSO_CONFIG), "--out", str(out)]
-    assert main([*flagged, "--quad-order", "5"]) == 1
-    keyed = [*argv, "--config", write_config(tmp_path, dict(LASSO_CONFIG, quad_order=61), "k.json"),
-             "--out", str(out)]
-    assert main(keyed) == 1
+    for order in (5, 61):
+        cfg = write_config(tmp_path, dict(LASSO_CONFIG, quad_order=order), f"k{order}.json")
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err.count("quad_order does not apply to the lasso model") == 2
     assert not out.exists()
 
@@ -101,6 +99,9 @@ def test_solve_se_unknown_system(tmp_path, capsys):
     assert main(["solve-se", "--system", "nosuch", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert "m-loo" in err  # names the valid systems
+    # a system has one spelling on the command line
+    assert main(["solve-se", "--system", "m_loo", "--config", cfg]) == 1
+    assert "unknown system 'm_loo'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -111,8 +112,22 @@ def test_solve_se_unknown_system(tmp_path, capsys):
     ["amp", "--config", "c.json", "--tol", "1e-9"],
     ["amp", "--config", "c.json", "--max-iter", "5"],
     ["amp", "--config", "c.json", "--quad-order", "81"],
+    # the config is the one source of the solver settings and the order
+    *([*command, "--config", "c.json", *flag]
+      for command in (["solve-se", "--system", "m-loo"], ["verify-equivalence"], ["simulate"])
+      for flag in (["--tol", "1e-9"], ["--max-iter", "5"], ["--quad-order", "81"])),
+    ["verify-equivalence", "--config", "c.json", "--kappa-grid", "0.1,abc"],
+    ["verify-equivalence", "--config", "c.json", "--kappa-grid", "0.1,0"],
+    ["verify-equivalence", "--config", "c.json", "--kappa-grid", "0.1,inf"],
+    ["simulate", "--config", "c.json", "--seed", "-1"],
+    ["amp", "--config", "c.json", "--seed", "1.5"],
+    ["verify-equivalence", "--config", "c.json", "--perturb", "nan"],
 ], ids=["missing-config", "unknown-flag", "solve-seed", "verify-seed", "amp-tol",
-        "amp-max-iter", "amp-quad-order"])
+        "amp-max-iter", "amp-quad-order",
+        *(f"{command}-{flag}" for command in ("solve", "verify", "simulate")
+          for flag in ("tol", "max-iter", "quad-order")),
+        "kappa-grid-not-a-number", "kappa-grid-zero", "kappa-grid-infinite",
+        "negative-seed", "fractional-seed", "perturb-nan"])
 def test_usage_errors_exit_with_the_config_code(argv, capsys):
     # exit 2 means non-convergence, so a usage error must not use it
     with pytest.raises(SystemExit) as exc:
@@ -218,6 +233,11 @@ def test_config_schema_rejections(tmp_path):
         with pytest.raises(ConfigError, match="delta"):
             load_config(path4)
         assert main(["solve-se", "--system", "m-loo", "--config", path4]) == 1
+    # where the CSV goes is a run flag, not part of the experiment
+    path5 = write_config(tmp_path, dict(QUAD_CONFIG, output_path="r.csv"), "out.json")
+    with pytest.raises(ConfigError, match="output_path"):
+        load_config(path5)
+    assert main(["solve-se", "--system", "m-loo", "--config", path5]) == 1
 
 
 def test_verify_equivalence_default_and_perturb(tmp_path):
@@ -250,10 +270,9 @@ ABSOLUTE_CONFIG = dict(QUAD_CONFIG, loss={"kind": "absolute"}, kappa=0.95)
 
 def test_solve_se_failure_row(tmp_path):
     # one Newton iteration from each start is too few at kappa = 0.95
-    cfg = write_config(tmp_path, ABSOLUTE_CONFIG)
+    cfg = write_config(tmp_path, dict(ABSOLUTE_CONFIG, solver={"max_iter": 1}))
     out = str(tmp_path / "r.csv")
-    assert main(["solve-se", "--system", "m-loo", "--config", cfg, "--out", out,
-                 "--max-iter", "1"]) == 2
+    assert main(["solve-se", "--system", "m-loo", "--config", cfg, "--out", out]) == 2
     (row,) = read_rows(out)
     assert row["status"] == "non_convergence"
     assert math.isfinite(float(row["residual_norm"]))
@@ -262,10 +281,10 @@ def test_solve_se_failure_row(tmp_path):
 
 
 def test_verify_solve_failure_rows(tmp_path):
-    cfg = write_config(tmp_path, ABSOLUTE_CONFIG)
+    cfg = write_config(tmp_path, dict(ABSOLUTE_CONFIG, solver={"max_iter": 1}))
     out = str(tmp_path / "v.csv")
     assert main(["verify-equivalence", "--pair", "m-loo:m-amp", "--kappa-grid", "0.95,0.5",
-                 "--config", cfg, "--out", out, "--max-iter", "1"]) == 2
+                 "--config", cfg, "--out", out]) == 2
     rows = read_rows(out)
     assert [r["status"] for r in rows] == ["solve_failed"] * 2
     assert [r["passed"] for r in rows] == ["false"] * 2
@@ -340,14 +359,28 @@ def test_amp_rejects_non_lasso_config(tmp_path):
     assert main(["amp", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 1
 
 
-def test_solver_flag_overrides(tmp_path):
-    cfg = write_config(tmp_path, dict(QUAD_CONFIG, solver={"tol": 1e-6}))
+def test_solver_and_quad_order_config_keys(tmp_path):
+    cfg = write_config(tmp_path, dict(QUAD_CONFIG, solver={"tol": 1e-11}, quad_order=81))
     out = str(tmp_path / "r.csv")
-    assert main(["solve-se", "--system", "m-loo", "--config", cfg, "--out", out,
-                 "--tol", "1e-11", "--quad-order", "81"]) == 0
+    assert main(["solve-se", "--system", "m-loo", "--config", cfg, "--out", out]) == 0
     row = read_rows(out)[0]
     assert float(row["residual_norm"]) <= 1e-11
     assert row["quad_order"] == "81"
+
+
+def test_config_hash_names_the_result_settings_and_not_the_output(tmp_path):
+    # a setting that changes the root changes the hash; the --out path does not
+    huber = dict(QUAD_CONFIG, loss={"kind": "huber", "delta": 1.0})
+    hashes = {}
+    for name, cfg in (("base", huber), ("budget", dict(huber, solver={"max_iter": 1})),
+                      ("order", dict(huber, quad_order=81))):
+        path = write_config(tmp_path, cfg, f"{name}.json")
+        for out in (tmp_path / f"{name}.csv", tmp_path / "sub" / f"{name}.csv"):
+            out.parent.mkdir(exist_ok=True)
+            main(["solve-se", "--system", "m-loo", "--config", path, "--out", str(out)])
+            hashes.setdefault(name, set()).add(read_rows(out)[0]["config_hash"])
+    assert all(len(h) == 1 for h in hashes.values())
+    assert len(set.union(*hashes.values())) == 3
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
